@@ -32,8 +32,6 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; results are identical for any value")
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: FI_CACHE_DIR env)")
 
@@ -141,9 +139,6 @@ def _parse_gamma(s: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 1
     if getattr(args, "cache_dir", None) is None:
         args.cache_dir = os.environ.get("FI_CACHE_DIR")
     try:

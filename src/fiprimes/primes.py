@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -360,8 +362,12 @@ def fi_weighted_count_bruteforce(x: int) -> float:
 
 # ---------------------------------------------------------------------------
 # FI prime tables with a line-oriented disk cache
+#
+# File format: one header line "fi-cache v2 <limit> <count> <crc32>", then one
+# prime per line.  count and crc32 cover the body after the header, so a file
+# torn at a line boundary is rejected instead of loading as a shorter table.
 
-CACHE_HEADER = "fi-cache v1"
+CACHE_HEADER = "fi-cache v2"
 CACHE_ENV = "FI_CACHE_DIR"
 
 
@@ -403,16 +409,20 @@ def _compute_fi_primes(limit: int) -> np.ndarray:
 
 
 def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
-    if not path.exists():
-        return None
     try:
-        with path.open("r", encoding="ascii") as fh:
-            header = fh.readline().strip().split()
-            if len(header) != 3 or " ".join(header[:2]) != CACHE_HEADER:
-                return None
-            cache_limit = int(header[2])
-            values = [int(line) for line in fh if line.strip()]
-    except (ValueError, OSError):
+        data = path.read_bytes()
+    except OSError:
+        return None
+    head, _, body = data.partition(b"\n")
+    try:
+        fields = head.decode("ascii").split()
+        if len(fields) != 5 or " ".join(fields[:2]) != CACHE_HEADER:
+            return None
+        cache_limit, count, crc = (int(f) for f in fields[2:])
+        values = [int(t) for t in body.split()]
+    except ValueError:
+        return None
+    if len(values) != count or zlib.crc32(body) != crc:
         return None
     arr = np.array(values, dtype=np.int64)
     if len(arr) and (np.any(np.diff(arr) <= 0) or arr[-1] > cache_limit or arr[0] < 5):
@@ -420,9 +430,20 @@ def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
     return cache_limit, arr
 
 
-def _write_cache(path: Path, limit: int, arr: Iterable[int]) -> None:
+def _write_cache(path: Path, limit: int, arr: np.ndarray) -> None:
+    """Write the table under a temporary name, then rename it over ``path``.
+
+    Readers see the old file or the new one, never a partial one.  There is
+    no fsync: a file torn by a crash fails its count or CRC and is rebuilt.
+    """
+    body = "".join(f"{p}\n" for p in arr.tolist()).encode("ascii")
+    header = f"{CACHE_HEADER} {limit} {len(arr)} {zlib.crc32(body)}\n".encode("ascii")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="ascii") as fh:
-        fh.write(f"{CACHE_HEADER} {limit}\n")
-        for p in arr:
-            fh.write(f"{int(p)}\n")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header + body)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise

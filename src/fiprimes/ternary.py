@@ -3,10 +3,16 @@
 Every FI prime is 1 mod 4, so a sum of three of them is 3 mod 4; the scans
 here confirm that beyond a small threshold every x = 3 (4) in range is such
 a sum, enumerate the exceptions, and list three-term arithmetic progressions
-inside the FI primes.  The W-tricked sequence normalises LL on a residue
-class b mod W so its mean is 1, and the L^q moments of its exponential sum
-are estimated on a dense frequency grid (at least 4N points, validated by an
-exact Parseval identity at q = 2).
+inside the FI primes.  The scan and the witness search index an FI prime
+p = 4i + 1 by i, so a sum of two FI primes is 4m + 2 and a sum of three is
+4m + 3 with m the sum of their indices: the scan to X convolves 0/1 arrays
+of about X/4 float64 entries, and a witness search for x keeps an x/4-entry
+bitmap.
+
+The W-tricked sequence normalises LL on a residue class b mod W so its mean
+is 1, and the L^q moments of its exponential sum are estimated on a dense
+frequency grid (at least 4N points, validated by an exact Parseval identity
+at q = 2).
 """
 
 from __future__ import annotations
@@ -54,26 +60,29 @@ def find_representation(
 ) -> Optional[RepresentationWitness]:
     """Smallest witness (p1, p2, p3) with p1 <= p2 <= p3 summing to x, if any.
 
-    A caller-supplied ``table`` must cover [2, x]; pass its limit so coverage
-    can be validated.
+    A caller-supplied ``table`` must be sorted and cover [2, x]; pass its
+    limit so coverage can be validated.  Only x = 3 (4) can be a sum of three
+    FI primes, so any other x gives None.
     """
     if x < 3:
         raise ValueError("x must be >= 3")
     if table is not None and table_limit is not None and table_limit < x:
         raise ValueError(f"table covers only [2, {table_limit}] < x = {x}")
+    if x % 4 != 3:
+        return None
     fi = table if table is not None else fi_primes_upto(x)
-    fi = fi[fi <= x]
-    in_fi = np.zeros(x + 1, dtype=bool)
-    in_fi[fi] = True
-    for p1 in fi:
+    fi = fi[: np.searchsorted(fi, x, side="right")]
+    in_fi = np.zeros((x - 1) // 4 + 1, dtype=bool)
+    in_fi[_fi_index(fi)] = True
+    for i, p1 in enumerate(fi):
         p1 = int(p1)
         if 3 * p1 > x:
             break
         t = x - p1
         # p2 <= t/2 keeps p2 <= p3
-        cands = fi[(fi >= p1) & (fi <= t // 2)]
+        cands = fi[i : np.searchsorted(fi, t // 2, side="right")]
         rest = t - cands
-        hits = in_fi[rest]
+        hits = in_fi[rest >> 2]  # rest = 1 (4), so rest >> 2 is its index
         if np.any(hits):
             p2 = int(cands[np.argmax(hits)])
             return RepresentationWitness(x=x, p1=p1, p2=p2, p3=t - p2)
@@ -83,31 +92,54 @@ def find_representation(
 def scan_exceptions(X: int, fi: Optional[np.ndarray] = None) -> np.ndarray:
     """All x = 3 (4), x <= X, that are not a sum of three FI primes.
 
-    Uses two exact convolutions of the FI indicator (FFT, integer-rounded);
-    counts stay far below the float64 exactness threshold.
+    With M = (X - 3) // 4, the FI primes p <= 4M + 1 give a 0/1 indicator on
+    their index (p - 1) / 4 in [0, M].  Two exact 0/1 convolutions then mark
+    the indices m with 4m + 2 a sum of two FI primes, and then those with
+    4m + 3 a sum of three.  A caller-supplied ``fi`` must hold only
+    1 (mod 4) entries; anything else raises ValueError.
     """
     if X < 3:
         raise ValueError("X must be >= 3")
     if fi is None:
         fi = fi_primes_upto(X)
-    ind = np.zeros(X + 1, dtype=np.float64)
-    ind[fi[fi <= X]] = 1.0
-    two = _exact_bool_convolution(ind, ind, X)
-    three = _exact_bool_convolution(two, ind, X)
-    xs = np.arange(3, X + 1, 4)
-    return xs[~three[xs].astype(bool)]
+    M = (X - 3) // 4
+    idx = _fi_index(fi)
+    ind = np.zeros(M + 1, dtype=np.float64)
+    ind[idx[idx <= M]] = 1.0
+    two = _exact_bool_convolution(ind, ind, M)
+    three = _exact_bool_convolution(two, ind, M)
+    return 4 * np.flatnonzero(three == 0) + 3
 
 
-def _exact_bool_convolution(a: np.ndarray, b: np.ndarray, X: int) -> np.ndarray:
-    """Indicator of {i + j : a[i] = b[j] = 1}, truncated to [0, X]."""
+def _fi_index(fi: np.ndarray) -> np.ndarray:
+    """Index i of each FI prime p = 4i + 1; other residues raise ValueError."""
+    bad = (fi & 3) != 1
+    if np.any(bad):
+        raise ValueError(f"FI primes are 1 (mod 4); got {int(fi[bad][0])}")
+    return fi >> 2
+
+
+def _exact_bool_convolution(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Indicator of {i + j : a[i] = b[j] = 1}, truncated to [0, m].
+
+    Exactness: a and b are 0/1, so every entry of the true convolution is an
+    integer count of at most min(sum a, sum b) <= len(fi).  A float64 FFT
+    convolution of length ``size`` errs by about eps * log2(size) * |a| |b|
+    (2-norms), here at most eps * log2(size) * len(fi), about 5e-10 at
+    X = 1e7 (the measured margin there is 6e-11), far below 1/4.  Rounding
+    therefore recovers every count; the margin is checked on every call and
+    a violation raises AssertionError.
+    """
     n = len(a) + len(b) - 1
     size = 1 << (n - 1).bit_length()
     fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
-    conv = np.fft.irfft(fa * fb, size)[: X + 1]
-    out = np.zeros(X + 1, dtype=np.float64)
-    out[np.rint(conv) >= 1] = 1.0
-    return out
+    fb = fa if b is a else np.fft.rfft(b, size)
+    conv = np.fft.irfft(fa * fb, size)[: m + 1]
+    counts = np.rint(conv)
+    margin = float(np.abs(conv - counts).max())
+    if not margin < 0.25:
+        raise AssertionError(f"FFT rounding margin {margin} >= 1/4 at size {size}")
+    return (counts >= 1).astype(np.float64)
 
 
 def scan_exceptions_direct(X: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fiprimes.cli import main
@@ -54,6 +55,14 @@ def test_verify_ternary(capsys):
     assert rows[19] == {"x": 19, "status": "exception"}
 
 
+def test_verify_ternary_rounding_violation_exit_code(capsys, monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    code, _, err = run_cli(capsys, "verify-ternary", "--limit", "100")
+    assert code == 2
+    assert "rounding margin" in err
+
+
 def test_verify_ternary_csv(capsys):
     code, out, _ = run_cli(capsys, "verify-ternary", "--limit", "20", "--csv")
     lines = out.splitlines()
@@ -69,17 +78,6 @@ def test_enumerate_with_cache(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["primes"] == [5, 13, 29, 41, 53, 61, 73, 89]
     assert (tmp_path / "fi-primes.txt").exists()
-
-
-def test_threads_do_not_change_output(capsys):
-    _, out1, _ = run_cli(capsys, "rough", "--limit", "10000", "--z", "100", "--json", "--threads", "1")
-    _, out4, _ = run_cli(capsys, "rough", "--limit", "10000", "--z", "100", "--json", "--threads", "4")
-    assert out1 == out4
-
-
-def test_threads_validation(capsys):
-    code, _, err = run_cli(capsys, "rough", "--limit", "100", "--z", "10", "--threads", "0")
-    assert code == 1
 
 
 def test_validation_error_exit_code(capsys):

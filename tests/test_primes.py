@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -118,24 +119,52 @@ def test_mangoldt_scalar():
     assert P.mangoldt(60) == 0.0
 
 
+def cache_header(limit, arr):
+    body = "".join(f"{int(p)}\n" for p in arr).encode("ascii")
+    return f"fi-cache v2 {limit} {len(arr)} {zlib.crc32(body)}"
+
+
 def test_fi_cache_roundtrip(tmp_path):
     fresh = P.fi_primes_upto(500, cache_dir=tmp_path)
     assert (tmp_path / "fi-primes.txt").exists()
     again = P.fi_primes_upto(400, cache_dir=tmp_path)
     assert np.array_equal(again, fresh[fresh <= 400])
     header = (tmp_path / "fi-primes.txt").read_text().splitlines()[0]
-    assert header == "fi-cache v1 500"
+    assert header == cache_header(500, fresh)
 
 
 def test_fi_cache_regenerates_on_corruption(tmp_path):
     P.fi_primes_upto(300, cache_dir=tmp_path)
     path = tmp_path / "fi-primes.txt"
-    path.write_text("fi-cache v1 300\n13\n5\n")  # out of order
+    path.write_text(f"{cache_header(300, [13, 5])}\n13\n5\n")  # out of order
     fixed = P.fi_primes_upto(300, cache_dir=tmp_path)
     assert list(fixed[:2]) == [5, 13]
     # file was rewritten in sorted form
-    body = [int(t) for t in path.read_text().split()[3:]]
+    body = [int(t) for t in path.read_text().split()[5:]]
     assert body == sorted(body)
+
+
+def _torn(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[: len(lines) // 2])
+
+
+def _v1(text):
+    return "fi-cache v1 10000\n" + text.split("\n", 1)[1]
+
+
+def _edited(text):
+    return text.replace("\n13\n", "\n17\n", 1)  # same length, still sorted
+
+
+@pytest.mark.parametrize("damage", [_torn, _v1, _edited])
+def test_fi_cache_rejects_torn_stale_or_edited(tmp_path, damage):
+    full = P.fi_primes_upto(10_000, cache_dir=tmp_path)
+    assert len(full) == 346
+    path = tmp_path / "fi-primes.txt"
+    path.write_text(damage(path.read_text()))
+    assert np.array_equal(P.fi_primes_upto(10_000, cache_dir=tmp_path), full)
+    assert path.read_text().splitlines()[0] == cache_header(10_000, full)
 
 
 def test_fi_cache_extends_limit(tmp_path):
@@ -143,4 +172,5 @@ def test_fi_cache_extends_limit(tmp_path):
     longer = P.fi_primes_upto(1000, cache_dir=tmp_path)
     assert longer[-1] > 100
     header = (tmp_path / "fi-primes.txt").read_text().splitlines()[0]
-    assert header == "fi-cache v1 1000"
+    assert header == cache_header(1000, longer)
+    assert [f.name for f in tmp_path.iterdir()] == ["fi-primes.txt"]  # no temp file left

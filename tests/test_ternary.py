@@ -14,6 +14,8 @@ def test_find_representation_examples():
     w87 = T.find_representation(87)
     assert (w87.p1, w87.p2, w87.p3) == (5, 29, 53)
     assert w87.validate()
+    for x in (16, 17, 18, 101):  # a sum of three FI primes is 3 (4)
+        assert T.find_representation(x) is None
 
 
 def test_witness_revalidation():
@@ -27,6 +29,14 @@ def test_table_too_small():
     fi = fi_primes_upto(100)
     with pytest.raises(ValueError):
         T.find_representation(1003, table=fi, table_limit=100)
+
+
+def test_non_fi_residue_rejected():
+    bad = np.array([5, 7, 13], dtype=np.int64)  # 7 = 3 (4) has no (p - 1)/4 index
+    with pytest.raises(ValueError):
+        T.scan_exceptions(100, fi=bad)
+    with pytest.raises(ValueError):
+        T.find_representation(99, table=bad, table_limit=100)
 
 
 def test_exceptions_small():
@@ -47,21 +57,23 @@ def test_exception_strategies_agree():
 
 
 def test_exceptions_against_triple_loop():
-    X = 2000
-    fi = [int(p) for p in fi_primes_upto(X)]
+    # every X mod 4, including X < 7 where the scan's index range is [0, 0]
+    X_max = 2000
+    fi = [int(p) for p in fi_primes_upto(X_max)]
     representable = set()
     for i, p1 in enumerate(fi):
         for p2 in fi[i:]:
-            if p1 + 2 * p2 > X + max(fi, default=0):
+            if p1 + 2 * p2 > X_max + max(fi, default=0):
                 break
             for p3 in fi:
                 if p3 < p2:
                     continue
                 s = p1 + p2 + p3
-                if s <= X:
+                if s <= X_max:
                     representable.add(s)
-    expected = [x for x in range(3, X + 1, 4) if x not in representable]
-    assert list(T.scan_exceptions(X)) == expected
+    for X in [*range(3, 121), X_max]:
+        expected = [x for x in range(3, X + 1, 4) if x not in representable]
+        assert list(T.scan_exceptions(X)) == expected, X
 
 
 def test_3ap_examples():
