@@ -157,17 +157,13 @@ def _dispatch(args) -> int:
     if cmd == "enumerate":
         from .primes import fi_primes_upto
 
-        fi = fi_primes_upto(args.limit, cache_dir=getattr(args, "cache_dir", None))
+        fi = fi_primes_upto(args.limit, cache_dir=getattr(args, "cache_dir", None)).tolist()
         if getattr(args, "csv", False):
-            print("p")
-            for p in fi:
-                print(int(p))
+            sys.stdout.write("p\n" + "".join(f"{p}\n" for p in fi))
+        elif args.json:
+            _emit({"limit": args.limit, "count": len(fi), "primes": fi}, True, [])
         else:
-            _emit(
-                {"limit": args.limit, "count": len(fi), "primes": [int(p) for p in fi]},
-                args.json,
-                [f"{int(p)}" for p in fi] + [f"# count: {len(fi)}"],
-            )
+            sys.stdout.write("".join(f"{p}\n" for p in fi) + f"# count: {len(fi)}\n")
         return 0
 
     if cmd == "xi":
@@ -268,16 +264,18 @@ def _dispatch(args) -> int:
 
     if cmd == "verify-ternary":
         from .primes import fi_primes_upto
-        from .ternary import find_representation, scan_exceptions
+        from .ternary import _fi_bitmap, _smallest_witness, scan_exceptions
 
         fi = fi_primes_upto(args.limit, cache_dir=getattr(args, "cache_dir", None))
         exceptions = set(int(v) for v in scan_exceptions(args.limit, fi=fi))
+        # one bitmap for the whole run; each x gets find_representation's witness
+        in_fi = None if args.exceptions_only else _fi_bitmap(fi, args.limit)
         rows = []
         for x in range(3, args.limit + 1, 4):
             if x in exceptions:
                 rows.append({"x": x, "status": "exception"})
             elif not args.exceptions_only:
-                wit = find_representation(x, table=fi, table_limit=args.limit)
+                wit = _smallest_witness(x, fi, in_fi)
                 rows.append({"x": x, "p1": wit.p1, "p2": wit.p2, "p3": wit.p3})
         if getattr(args, "csv", False):
             print("x,p1,p2,p3")

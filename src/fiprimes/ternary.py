@@ -72,8 +72,25 @@ def find_representation(
         return None
     fi = table if table is not None else fi_primes_upto(x)
     fi = fi[: np.searchsorted(fi, x, side="right")]
-    in_fi = np.zeros((x - 1) // 4 + 1, dtype=bool)
+    return _smallest_witness(x, fi, _fi_bitmap(fi, x))
+
+
+def _fi_bitmap(fi: np.ndarray, limit: int) -> np.ndarray:
+    """in_fi[i] is True iff 4i + 1 is in ``fi`` (which must be <= limit), i <= (limit-1)/4."""
+    in_fi = np.zeros((limit - 1) // 4 + 1, dtype=bool)
     in_fi[_fi_index(fi)] = True
+    return in_fi
+
+
+def _smallest_witness(
+    x: int, fi: np.ndarray, in_fi: np.ndarray
+) -> Optional[RepresentationWitness]:
+    """The search behind ``find_representation`` for x = 3 (4).
+
+    ``fi`` is sorted and holds every FI prime <= x (larger ones are never
+    reached); ``in_fi`` is ``_fi_bitmap`` for a limit >= x.  A caller
+    scanning many x builds the bitmap once and passes it to every call.
+    """
     for i, p1 in enumerate(fi):
         p1 = int(p1)
         if 3 * p1 > x:

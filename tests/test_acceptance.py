@@ -1,10 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.
+lines and timings.  Set FI_ACCEPTANCE_REPORT to a file path to also write
+those lines there, e.g.
+`FI_ACCEPTANCE_REPORT=acceptance_report.txt pytest tests/test_acceptance.py`;
+without it nothing is written to disk.
 """
 
 import math
+import os
 import random
 import sys
 import time
@@ -33,7 +37,7 @@ from fiprimes.primes import (
 from fiprimes.quadrature import adaptive_simpson
 
 
-_REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
+_REPORT_PATH = os.environ.get("FI_ACCEPTANCE_REPORT")
 _report_started = False
 
 
@@ -42,8 +46,10 @@ def _report(n: int, name: str, ok: bool, elapsed: float, extra: str = "") -> Non
     status = "PASS" if ok else "FAIL"
     line = f"ACCEPTANCE {n} {status} {name} ({elapsed:.1f}s){' ' + extra if extra else ''}"
     print(line, file=sys.stderr, flush=True)  # visible with pytest -s
+    if not _REPORT_PATH:
+        return
     mode = "a" if _report_started else "w"
-    with _REPORT_PATH.open(mode) as fh:
+    with Path(_REPORT_PATH).open(mode) as fh:
         fh.write(line + "\n")
     _report_started = True
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fiprimes.cli import main
+from fiprimes.primes import fi_primes_upto
+from fiprimes.ternary import find_representation
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,26 @@ def test_verify_ternary_csv(capsys):
     assert lines[0] == "x,p1,p2,p3"
     assert "15,5,5,5" in lines
     assert "19,,,exception" in lines
+
+
+def test_verify_ternary_rows_match_find_representation(capsys):
+    code, out, _ = run_cli(capsys, "verify-ternary", "--limit", "2000", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["x"] for r in rows] == list(range(3, 2001, 4))
+    fi = fi_primes_upto(2000)
+    for r in rows:
+        wit = find_representation(r["x"], table=fi, table_limit=2000)
+        if wit is None:
+            assert r == {"x": r["x"], "status": "exception"}
+        else:
+            assert r == {"x": wit.x, "p1": wit.p1, "p2": wit.p2, "p3": wit.p3}
+
+
+def test_enumerate_text(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--limit", "30")
+    assert code == 0
+    assert out == "5\n13\n29\n# count: 3\n"
 
 
 def test_enumerate_with_cache(tmp_path, capsys):

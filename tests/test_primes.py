@@ -3,8 +3,57 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiprimes import primes as P
+
+
+def eratosthenes(limit):
+    """Oracle: the plain all-integers sieve, one pass per prime."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[: min(2, limit + 1)] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
+
+
+# integers covered by k whole segments of odd numbers, +-2 on each side
+SEGMENT_EDGES = [2 * k * P.SEGMENT_BYTES + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)]
+
+
+def test_simple_sieve_against_oracle():
+    for limit in list(range(301)) + SEGMENT_EDGES:
+        assert np.array_equal(P.simple_sieve(limit), eratosthenes(limit)), limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=5 * 10**6))
+def test_simple_sieve_random_limits(limit):
+    assert np.array_equal(P.simple_sieve(limit), eratosthenes(limit))
+
+
+def test_simple_sieve_read_only():
+    with pytest.raises(ValueError):
+        P.simple_sieve(100)[7] = False
+
+
+def test_simple_sieve_at_benchmark_size():
+    # bypass the lru cache so the 100 MB array is freed after the test
+    assert P.simple_sieve.__wrapped__(10**8).sum() == 5_761_455
+
+
+WINDOW_TOP = 3 * 2 * P.SEGMENT_BYTES + 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=WINDOW_TOP - 1)),
+    st.one_of(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=WINDOW_TOP)),
+)
+def test_sieve_range_matches_simple_sieve(lo, length):
+    hi = min(lo + length, WINDOW_TOP)
+    assert np.array_equal(P.sieve_range(lo, hi).bits, P.simple_sieve(WINDOW_TOP)[lo + 1 : hi + 1])
 
 
 def test_sieve_range_textbook():
