@@ -104,18 +104,26 @@ def buchstab_B(u: float, interpolant: Optional[BuchstabInterpolant] = None) -> f
     return interp.eval(u)
 
 
-def rough_indicator(n: int, z: float) -> int:
-    """1 iff every prime factor of n exceeds z (vacuous for n = 1)."""
+def rough_indicator(n: int, z: float, spf: Optional[np.ndarray] = None) -> int:
+    """1 iff every prime factor of n exceeds z (vacuous for n = 1).
+
+    With a smallest-prime-factor table ``spf`` that covers n, the prime
+    factors are walked in increasing order and the walk stops at the first
+    one <= z; otherwise n is factored by trial division.  Prime factors are
+    integers, so "every prime factor >= p" for an integer p is
+    ``rough_indicator(n, p - 1)``.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    for p, _ in factorize(n):
+    if spf is None or n >= len(spf):
+        return 0 if any(p <= z for p, _ in factorize(n)) else 1
+    while n > 1:
+        p = int(spf[n])
         if p <= z:
             return 0
+        while n % p == 0:
+            n //= p
     return 1
-
-
-def _rough_indicator_factored(factors: list[int], z: float) -> int:
-    return 0 if any(p <= z for p in factors) else 1
 
 
 @dataclass(frozen=True)
@@ -171,8 +179,7 @@ def buchstab_identity_check(n: int, z: float, w: float) -> bool:
     rhs = rough_indicator(n, w)
     for p, _ in factorize(n):
         if z < p <= w:
-            m = n // p
-            rhs += 1 if all(q >= p for q, _ in factorize(m)) else 0
+            rhs += rough_indicator(n // p, p - 1)
     return lhs == rhs
 
 
@@ -184,22 +191,12 @@ def buchstab_identity_scan(limit: int, z: float, w: float) -> int:
     bad = 0
     mid_primes = [int(p) for p in primes_upto(int(w)) if z < p <= w]
     for n in range(1, limit + 1):
-        lhs = _rough_int(n, z, spf, strict=True)
-        rhs = _rough_int(n, w, spf, strict=True)
+        lhs = rough_indicator(n, z, spf)
+        rhs = rough_indicator(n, w, spf)
         for p in mid_primes:
             if n % p == 0:
-                rhs += _rough_int(n // p, p, spf, strict=False)
+                rhs += rough_indicator(n // p, p - 1, spf)
         if lhs != rhs:
             bad += 1
     return bad
 
-
-def _rough_int(n: int, z: float, spf: np.ndarray, strict: bool) -> int:
-    """1 iff every prime factor of n is > z (strict) or >= z (not strict)."""
-    while n > 1:
-        p = int(spf[n])
-        if p <= z if strict else p < z:
-            return 0
-        while n % p == 0:
-            n //= p
-    return 1

@@ -17,8 +17,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .buchstab import rough_indicator
 from .lattice import LatticeBasis, StarLattice, annulus_lattice_points
-from .primes import primes_upto, spf_table
+from .primes import fi_pairs, primes_upto, spf_table
 
 ARC_EXPONENT_FULL = 1e5   # makes the major arcs cover [0, 1] at any feasible x
 ARC_EXPONENT_DESK = 2.0   # nontrivial partition at desk scale
@@ -152,17 +153,10 @@ def inner_weight_table(
 ) -> np.ndarray:
     """S_omega(m) = sum_{m = k^2 + l^2, k >= 1, l prime} omega(l) for m <= x."""
     table = np.zeros(x + 1, dtype=np.float64)
-    if x >= 5:
-        for l in primes_upto(math.isqrt(x - 1)):
-            l = int(l)
-            w = omega(l)
-            if w == 0.0:
-                continue
-            kmax = math.isqrt(x - l * l)
-            if kmax < 1:
-                continue
-            ks = np.arange(1, kmax + 1, dtype=np.int64)
-            np.add.at(table, ks * ks + l * l, w)
+    for l, ns in fi_pairs(x):
+        w = omega(l)
+        if w != 0.0:
+            table[ns] += w
     return table
 
 
@@ -319,16 +313,6 @@ class DfiParts:
     residual_bound: float
 
 
-def _rough(n: int, z: float, spf: np.ndarray) -> bool:
-    while n > 1:
-        p = int(spf[n])
-        if p <= z:
-            return False
-        while n % p == 0:
-            n //= p
-    return True
-
-
 def dfi_decompose(
     c: Union[Mapping[int, complex], np.ndarray, Sequence[complex]],
     z: float,
@@ -364,7 +348,7 @@ def dfi_decompose(
     def S_of(seq: np.ndarray, zz: float) -> complex:
         tot = 0j
         for n in range(1, len(seq)):
-            if seq[n] != 0 and _rough(n, zz, spf):
+            if seq[n] != 0 and rough_indicator(n, zz, spf):
                 tot += seq[n]
         return tot
 
@@ -405,7 +389,7 @@ def dfi_decompose(
                     continue
                 for j in range(1, n_max // pq + 1):
                     v = arr[pq * j]
-                    if v != 0 and _rough(j, y_hi, spf):
+                    if v != 0 and rough_indicator(j, y_hi, spf):
                         part += v
         bands.append(part)
 
@@ -422,7 +406,7 @@ def dfi_decompose(
                 continue
             for j in range(1, n_max // pq + 1):
                 v = arr[pq * j]
-                if v != 0 and _rough(j, p, spf):
+                if v != 0 and rough_indicator(j, p, spf):
                     tail += v
 
     residual = total - tail - type1 - sum(bands)

@@ -34,7 +34,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -97,11 +97,17 @@ def primes_upto(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0)."""
+    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0).
+
+    The smallest prime factor of a composite n is some p <= sqrt(n), and
+    p strikes n from p^2 on; striking in descending order of p leaves the
+    smallest such p in place.  A prime is its own smallest factor.
+    """
     spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
+    for p in reversed(primes_upto(math.isqrt(limit)).tolist()):
+        spf[p * p :: p] = p
+    primes = primes_upto(limit)
+    spf[primes] = primes
     spf.setflags(write=False)
     return spf
 
@@ -189,13 +195,8 @@ def mangoldt_table(x: int) -> np.ndarray:
     lam = np.zeros(x + 1, dtype=np.float64)
     pr = primes_upto(x) if x >= 2 else np.array([], dtype=np.int64)
     lam[pr] = np.log(pr.astype(np.float64))
-    for p in primes_upto(math.isqrt(x)):
-        p = int(p)
-        pk = p * p
-        lp = math.log(p)
-        while pk <= x:
-            lam[pk] = lp
-            pk *= p
+    for pk, lp in prime_power_map(x).items():
+        lam[pk] = lp
     return lam
 
 
@@ -334,7 +335,9 @@ def fi_decompositions(n: int) -> list[FiDecomposition]:
     out: list[FiDecomposition] = []
     if n < 5:
         return out
-    for l in primes_upto(math.isqrt(n - 1)):
+    # a table whose limit is the power of two >= sqrt(n - 1), so that the
+    # roots of many n share a few cached tables; rem < 1 ends the loop there
+    for l in primes_upto(1 << (math.isqrt(n - 1) - 1).bit_length()):
         l = int(l)
         rem = n - l * l
         if rem < 1:
@@ -363,17 +366,31 @@ def lambda_lambda(n: int) -> float:
     return lam * s
 
 
+def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (l, ns) with ns = k^2 + l^2 for k = 1..isqrt(x - l^2), per l in ``ls``.
+
+    ``ls`` defaults to the primes <= isqrt(x - 1), so the blocks hold every
+    n = k^2 + l^2 <= x with k >= 1 and l prime, once per pair, in increasing
+    l.  An l with no k >= 1 yields nothing.  Within a block ns is strictly
+    increasing, so ``table[ns] += w`` adds w exactly once to each entry.
+    Every pair sum over n <= x (LL, FI primes, the Type I inner weights,
+    the sieve majorant) is a reduction over these blocks.
+    """
+    if ls is None:
+        ls = primes_upto(math.isqrt(x - 1)) if x >= 5 else ()
+    for l in ls:
+        l = int(l)
+        if l * l >= x:
+            continue
+        ks = np.arange(1, math.isqrt(x - l * l) + 1, dtype=np.int64)
+        yield l, ks * ks + l * l
+
+
 def lambda_lambda_table(x: int) -> np.ndarray:
     """Array of LL(n) for 0 <= n <= x, built by pair iteration."""
     inner = np.zeros(x + 1, dtype=np.float64)
-    if x >= 5:
-        for l in primes_upto(math.isqrt(x - 1)):
-            l = int(l)
-            kmax = math.isqrt(x - l * l)
-            if kmax < 1:
-                continue
-            ks = np.arange(1, kmax + 1, dtype=np.int64)
-            np.add.at(inner, ks * ks + l * l, math.log(l))
+    for l, ns in fi_pairs(x):
+        inner[ns] += math.log(l)
     return inner * mangoldt_table(x)
 
 
@@ -402,20 +419,13 @@ def fi_weighted_count(x: int, h_limit: int = 10**6) -> FiCountResult:
     pp_keys = np.array(sorted(pps), dtype=np.int64)
     pp_vals = np.array([pps[int(k)] for k in pp_keys], dtype=np.float64)
     total = 0.0
-    if x >= 5:
-        for l in primes_upto(math.isqrt(x - 1)):
-            l = int(l)
-            kmax = math.isqrt(x - l * l)
-            if kmax < 1:
-                continue
-            ks = np.arange(1, kmax + 1, dtype=np.int64)
-            ns = ks * ks + l * l
-            prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()
-            idx = np.searchsorted(pp_keys, ns)
-            idx[idx == len(pp_keys)] = 0
-            hit = pp_keys[idx] == ns if len(pp_keys) else np.zeros(len(ns), bool)
-            pp_part = pp_vals[idx[hit]].sum() if len(pp_keys) else 0.0
-            total += math.log(l) * (prime_part + pp_part)
+    # a block exists only for x >= 5, and then pp_keys holds at least 4
+    for l, ns in fi_pairs(x):
+        prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()
+        idx = np.searchsorted(pp_keys, ns)
+        idx[idx == len(pp_keys)] = 0
+        pp_part = pp_vals[idx[pp_keys[idx] == ns]].sum()
+        total += math.log(l) * (prime_part + pp_part)
     h, _ = euler_H(h_limit)
     return FiCountResult(value=total, h=h, hx=h * x, ratio=total / (h * x))
 
@@ -470,13 +480,7 @@ def fi_primes_upto(limit: int, cache_dir: Optional[str | Path] = None) -> np.nda
 def _compute_fi_primes(limit: int) -> np.ndarray:
     is_p = simple_sieve(limit)
     hits = np.zeros(limit + 1, dtype=bool)
-    for l in primes_upto(math.isqrt(limit - 1)):
-        l = int(l)
-        kmax = math.isqrt(limit - l * l)
-        if kmax < 1:
-            continue
-        ks = np.arange(1, kmax + 1, dtype=np.int64)
-        ns = ks * ks + l * l
+    for _, ns in fi_pairs(limit):
         hits[ns[is_p[ns]]] = True
     return np.flatnonzero(hits).astype(np.int64)
 
@@ -492,12 +496,15 @@ def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
         if len(fields) != 5 or " ".join(fields[:2]) != CACHE_HEADER:
             return None
         cache_limit, count, crc = (int(f) for f in fields[2:])
-        values = [int(t) for t in body.split()]
     except ValueError:
         return None
-    if len(values) != count or zlib.crc32(body) != crc:
+    tokens = body.split()
+    if len(tokens) != count or zlib.crc32(body) != crc:
         return None
-    arr = np.array(values, dtype=np.int64)
+    try:
+        arr = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
     if len(arr) and (np.any(np.diff(arr) <= 0) or arr[-1] > cache_limit or arr[0] < 5):
         return None
     return cache_limit, arr

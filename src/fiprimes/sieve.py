@@ -32,6 +32,7 @@ import numpy as np
 from .primes import (
     distinct_prime_factors,
     factorize,
+    fi_pairs,
     mangoldt,
     mangoldt_table,
 )
@@ -196,12 +197,6 @@ def composed_theta(
     )
 
 
-def sifted_indicator(n: int, z: float, z0: float) -> int:
-    """1 iff n has no prime factor in the composed sifting set (0, max(z, z0)]."""
-    bound = max(z, z0)
-    return 0 if any(p <= bound for p in distinct_prime_factors(n)) else 1
-
-
 # ---------------------------------------------------------------------------
 # linear sieve functions
 
@@ -359,18 +354,6 @@ class MajorantEvaluator:
         return total
 
 
-def majorant_weights(l: int, params: MajorantParams) -> tuple[float, float, float]:
-    return MajorantEvaluator(params).weights(l)
-
-
-def majorant_Omega(n: int, params: MajorantParams) -> float:
-    return MajorantEvaluator(params).omega_outer(n)
-
-
-def assemble_majorant(n: int, params: MajorantParams) -> float:
-    return MajorantEvaluator(params).lambda_plus(n)
-
-
 def _cofactor_primes(facs: list[tuple[int, int]], removed: dict[int, int]) -> list[int]:
     """Distinct primes of n / prod(removed) given the factorization of n."""
     out = []
@@ -395,26 +378,12 @@ def majorant_table(x: int, params: Optional[MajorantParams] = None) -> MajorantT
     """Vectorised Lambda_plus over all n <= x via (k, l) pair iteration."""
     params = params or MajorantParams(x=x)
     ev = MajorantEvaluator(params)
-    root = math.isqrt(x - 1)
-    s1 = np.zeros(x + 1)
-    s2 = np.zeros(x + 1)
-    s3 = np.zeros(x + 1)
-    se2 = np.zeros(x + 1)
-    for l in range(1, root + 1):
-        kmax = math.isqrt(x - l * l)
-        if kmax < 1:
-            continue
-        w1, w2, w3, e2 = ev.weights_with_error(l)
-        ks = np.arange(1, kmax + 1, dtype=np.int64)
-        ns = ks * ks + l * l
-        if w1:
-            np.add.at(s1, ns, w1)
-        if w2:
-            np.add.at(s2, ns, w2)
-        if w3:
-            np.add.at(s3, ns, w3)
-        if e2:
-            np.add.at(se2, ns, e2)
+    s1, s2, s3, se2 = sums = np.zeros((4, x + 1))
+    # the majorant's inner variable l runs over all integers, not only primes
+    for l, ns in fi_pairs(x, range(1, math.isqrt(x - 1) + 1)):
+        for s, w in zip(sums, ev.weights_with_error(l)):
+            if w:
+                s[ns] += w
     lam = mangoldt_table(x)
     lam_plus = lam * (s1 + s2 + se2)
     error = lam * se2

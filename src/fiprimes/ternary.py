@@ -30,7 +30,7 @@ from .primes import (
     fi_decompositions,
     fi_primes_upto,
     is_fi_prime,
-    mangoldt_table,
+    lambda_lambda_table,
     primes_upto,
 )
 
@@ -260,30 +260,12 @@ def wtrick_build(
     if xi_wb == 0:
         raise ValueError(f"Xi({W}, {b}) = 0; the class carries no mass")
     N = x // W
-    ll = _ll_progression(W * N + b, W, b)
+    ll = lambda_lambda_table(W * N + b)
     scale = euler_phi(W) / (float(xi_wb) * W * CONVENTION_MULTIPLIER * reference_H())
     values = np.zeros(N + 1, dtype=np.float64)
     ns = np.arange(1, N + 1, dtype=np.int64)
     values[1:] = scale * ll[W * ns + b]
     return WTrickedSequence(x=x, w=w, W=W, b=b, N=N, values=values)
-
-
-def _ll_progression(x: int, W: int, b: int) -> np.ndarray:
-    """LL(m) for m <= x restricted to m = b (W), by pair iteration."""
-    inner = np.zeros(x + 1, dtype=np.float64)
-    if x >= 5:
-        for l in primes_upto(math.isqrt(x - 1)):
-            l = int(l)
-            kmax = math.isqrt(x - l * l)
-            if kmax < 1:
-                continue
-            ks = np.arange(1, kmax + 1, dtype=np.int64)
-            ns = ks * ks + l * l
-            keep = ns % W == b % W
-            if np.any(keep):
-                np.add.at(inner, ns[keep], math.log(l))
-    lam = mangoldt_table(x)
-    return inner * lam
 
 
 def lq_moment(seq: WTrickedSequence, q: float, grid: int) -> float:

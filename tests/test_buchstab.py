@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fiprimes import buchstab as B
+from fiprimes.primes import factorize, spf_table
 from fiprimes.quadrature import adaptive_simpson
 
 
@@ -90,6 +91,17 @@ def test_rough_indicator():
     assert B.rough_indicator(15, 4) == 0
     assert B.rough_indicator(1, 100) == 1
     assert B.rough_indicator(49, 7) == 0  # 7 > z required strictly
+    # the spf walk (n <= 1500) and trial division (n > 1500) against an oracle
+    spf = spf_table(1500)
+    for z in (1, 2, 2.5, 3, 6.9, 7, 30, 1999):
+        for n in range(1, 2001):
+            expected = int(all(n % d for d in range(2, min(n, math.floor(z)) + 1)))
+            assert B.rough_indicator(n, z, spf) == B.rough_indicator(n, z) == expected, (n, z)
+    # "every prime factor >= p" for a prime p is rough_indicator(m, p - 1)
+    for p in (2, 3, 7, 31):
+        for m in range(1, 2001):
+            expected = int(all(q >= p for q, _ in factorize(m)))
+            assert B.rough_indicator(m, p - 1, spf) == expected, (m, p)
 
 
 def test_rough_count_examples():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiprimes import expsum as E
 from fiprimes.gaussian import GaussianInt, enumerate_annulus
@@ -97,6 +98,20 @@ def test_type1_zero_frequency_counts_representations():
     v = E.type1_sum(0.0, 1, lambda l: 1.0, 1, 1, x)
     brute = sum(len(fi_decompositions(n)) for n in range(1, x + 1))
     assert v == pytest.approx(brute, rel=1e-12)
+
+
+def _omega(l):
+    return math.log(l) if l % 3 else 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=3000))
+def test_inner_weight_table_matches_decompositions(x):
+    table = E.inner_weight_table(x, _omega)
+    assert len(table) == x + 1
+    # both sum omega(l) in increasing l, so the results are equal exactly
+    expected = [0.0] + [sum(_omega(d.l) for d in fi_decompositions(n)) for n in range(1, x + 1)]
+    assert table.tolist() == expected
 
 
 def test_type1_empty():

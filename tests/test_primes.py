@@ -155,10 +155,33 @@ def test_weighted_count_trivial():
 
 
 def test_lambda_lambda_table_matches_scalar():
-    x = 2000
-    table = P.lambda_lambda_table(x)
-    for n in range(1, x + 1):
-        assert table[n] == pytest.approx(P.lambda_lambda(n), abs=1e-12)
+    for x in list(range(11)) + [2000]:
+        table = P.lambda_lambda_table(x)
+        assert len(table) == x + 1
+        for n in range(1, x + 1):
+            assert table[n] == pytest.approx(P.lambda_lambda(n), abs=1e-12), (x, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=3000))
+def test_fi_primes_match_scalar_predicate(x):
+    expected = [p for p in range(x + 1) if P.is_fi_prime(p)]
+    assert P.fi_primes_upto(x).tolist() == expected
+
+
+def test_fi_pairs_blocks():
+    assert [(l, ns.tolist()) for l, ns in P.fi_pairs(30)] == [
+        (2, [5, 8, 13, 20, 29]), (3, [10, 13, 18, 25]), (5, [26, 29])]
+    assert list(P.fi_pairs(4)) == []
+    # an l with no k >= 1 (l^2 >= x) is skipped
+    assert [l for l, _ in P.fi_pairs(9, [1, 3, 4, 2])] == [1, 2]
+
+
+def test_spf_table_against_factorize():
+    for limit in list(range(201)) + [10**5]:
+        spf = P.spf_table(limit)
+        expected = [0, 0][: limit + 1] + [P.factorize(n)[0][0] for n in range(2, limit + 1)]
+        assert spf.tolist() == expected, limit
 
 
 def test_mangoldt_scalar():

@@ -131,6 +131,10 @@ def test_wtrick_values_trace_ll():
     # phi(12) / (Xi(12,1) * 12 * R * H) = 1/(2H) with Xi(12,1) = 4/3, R = 1/2
     expected = lambda_lambda(109) / (2.0 * reference_H())
     assert seq.values[9] == pytest.approx(expected, rel=1e-12)
+    assert seq.N == 833
+    for n in range(1, seq.N + 1):
+        assert seq.values[n] == pytest.approx(lambda_lambda(12 * n + 1) / (2.0 * reference_H()),
+                                              rel=1e-12), n
 
 
 def test_parseval_gate():
