@@ -6,14 +6,14 @@ expsum (s0|type1|type2|minsum|dfi), verify-ternary, 3ap, lq.
 Output goes to stdout (text by default, --json/--csv where applicable;
 JSON carries "schema": "fi/1").  Diagnostics go to stderr.  Exit codes:
 0 success, 1 validation error, 2 assertion failure (a certified band was
-violated).  FI_CACHE_DIR overrides the FI-prime cache location.
+violated).  ``enumerate`` and ``verify-ternary`` cache the FI-prime table in
+--cache-dir, or in FI_CACHE_DIR when the flag is not given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -32,8 +32,6 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory (default: FI_CACHE_DIR env)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list FI primes up to a limit (cached)")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--csv", action="store_true", help="CSV rows: p")
+    p.add_argument("--cache-dir", default=None, help="cache directory (default: FI_CACHE_DIR env)")
     _add_common(p)
 
     p = sub.add_parser("xi", help="local density Xi(q, a), exact rational")
@@ -71,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, default=0.265)
     p.add_argument("--xi1", type=float, default=0.183)
     p.add_argument("--delta0", type=float, default=1e-7)
-    p.add_argument("--grid", type=int, default=32, help="starting grid for the triple integral")
     _add_common(p)
 
     p = sub.add_parser("lattice", help="star lattice: discriminant, basis, counts")
@@ -104,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--exceptions-only", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV rows: x,p1,p2,p3|status")
+    p.add_argument("--cache-dir", default=None, help="cache directory (default: FI_CACHE_DIR env)")
     _add_common(p)
 
     p = sub.add_parser("3ap", help="three-term APs in the FI primes")
@@ -139,8 +138,6 @@ def _parse_gamma(s: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "cache_dir", None) is None:
-        args.cache_dir = os.environ.get("FI_CACHE_DIR")
     try:
         return _dispatch(args)
     except ValueError as exc:
@@ -157,8 +154,8 @@ def _dispatch(args) -> int:
     if cmd == "enumerate":
         from .primes import fi_primes_upto
 
-        fi = fi_primes_upto(args.limit, cache_dir=getattr(args, "cache_dir", None)).tolist()
-        if getattr(args, "csv", False):
+        fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir).tolist()
+        if args.csv:
             sys.stdout.write("p\n" + "".join(f"{p}\n" for p in fi))
         elif args.json:
             _emit({"limit": args.limit, "count": len(fi), "primes": fi}, True, [])
@@ -211,7 +208,7 @@ def _dispatch(args) -> int:
         payload = {"x": args.x, "n": args.n, "sign": args.sign, "theta": theta}
         lines = [f"theta{args.sign}({args.n}) = {theta}"]
         if args.n * args.n <= args.x:
-            w1, w2, w3 = ev.weights(args.n)
+            w1, w2, w3, _ = ev.weights_with_error(args.n)
             payload.update({"w1": w1, "w2": w2, "w3": w3})
             lines.append(f"w1 = {w1:.6g}  w2 = {w2:.6g}  w3 = {w3:.6g}")
         if lp is not None:
@@ -266,7 +263,7 @@ def _dispatch(args) -> int:
         from .primes import fi_primes_upto
         from .ternary import _fi_bitmap, _smallest_witness, scan_exceptions
 
-        fi = fi_primes_upto(args.limit, cache_dir=getattr(args, "cache_dir", None))
+        fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir)
         exceptions = set(int(v) for v in scan_exceptions(args.limit, fi=fi))
         # one bitmap for the whole run; each x gets find_representation's witness
         in_fi = None if args.exceptions_only else _fi_bitmap(fi, args.limit)
@@ -277,7 +274,7 @@ def _dispatch(args) -> int:
             elif not args.exceptions_only:
                 wit = _smallest_witness(x, fi, in_fi)
                 rows.append({"x": x, "p1": wit.p1, "p2": wit.p2, "p3": wit.p3})
-        if getattr(args, "csv", False):
+        if args.csv:
             print("x,p1,p2,p3")
             for r in rows:
                 if "status" in r:
@@ -300,7 +297,7 @@ def _dispatch(args) -> int:
         from .ternary import find_3aps
 
         aps = find_3aps(args.limit)
-        if getattr(args, "csv", False):
+        if args.csv:
             print("p,mid,third")
             for a, b, c in aps:
                 print(f"{a},{b},{c}")

@@ -110,7 +110,6 @@ def c3_bound(
     xi1: float = 0.183,
     xi: float = 0.265,
     delta0: float = 1e-7,
-    interpolant: Optional[BuchstabInterpolant] = None,
     tol: float = 1e-5,
     start_grid: int = 32,
     max_grid: int = 2048,
@@ -118,13 +117,14 @@ def c3_bound(
     """Triple integral over the ordered simplex, midpoint + Richardson.
 
     The integrand argument stays below (1 - 3 xi1)/xi1 < 3 at the standard
-    parameters, so closed forms of B suffice; ``interpolant`` is accepted for
-    compatibility when callers extend the region.
+    parameters, so closed forms of B suffice; past u = 3 a Buchstab grid
+    interpolant covering the region is built.
     """
     if not xi1 < xi:
         raise ValueError("need xi1 < xi")
     u_top = (1.0 - 3.0 * xi1) / xi1
-    if interpolant is None and u_top >= 3.0:
+    interpolant = None
+    if u_top >= 3.0:
         from .buchstab import default_interpolant
 
         interpolant = default_interpolant(u_max=float(math.ceil(u_top) + 1))
@@ -165,7 +165,6 @@ def alpha_plus(
     xi: float = 0.265,
     delta0: float = 1e-7,
     check_bands: bool = True,
-    c3_grid_tol: float = 1e-5,
 ) -> AlphaPlusResult:
     """c1 + c2 + c3 at the given parameters, band-checked by default.
 
@@ -174,7 +173,7 @@ def alpha_plus(
     """
     r1 = c1_bound(xi1, delta0)
     r2 = c2_bound(xi1, xi, delta0)
-    r3 = c3_bound(xi1, xi, delta0, tol=c3_grid_tol)
+    r3 = c3_bound(xi1, xi, delta0)
     value = r1.value + r2.value + r3.value
     result = AlphaPlusResult(c1=r1, c2=r2, c3=r3, value=value)
     if check_bands:

@@ -320,7 +320,6 @@ def dfi_decompose(
     U2: float,
     D_I: float,
     K: int,
-    calibration_c: float = DFI_CALIBRATED_C,
 ) -> DfiParts:
     """Split S(C, z) = sum_n rho(n, z) c(n) into linear and bilinear parts.
 
@@ -418,7 +417,7 @@ def dfi_decompose(
         X
         * G
         * G
-        * (2.0 ** (-math.log(D_I / z) / math.log(U1)) + calibration_c * math.log(U2) / K)
+        * (2.0 ** (-math.log(D_I / z) / math.log(U1)) + DFI_CALIBRATED_C * math.log(U2) / K)
     )
     return DfiParts(
         total=total,

@@ -90,9 +90,10 @@ def euler_H(p_limit: int) -> tuple[float, float]:
     return value, tail
 
 
-@lru_cache(maxsize=4)
-def reference_H(p_limit: int = 10**6) -> float:
-    return euler_H(p_limit)[0]
+@lru_cache(maxsize=1)
+def reference_H() -> float:
+    """H truncated at the primes <= 10^6 (relative tail about 2e-6, see ``euler_H``)."""
+    return euler_H(10**6)[0]
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the Xi evaluator
+# Xi(q, a): the multiplicative fast path and the brute-force oracle
 
 
 @lru_cache(maxsize=None)
@@ -147,96 +148,79 @@ def _square_count(q: int) -> np.ndarray:
     return np.bincount((ks * ks) % q, minlength=q)
 
 
-class XiEvaluator:
-    """Exact evaluator of Xi(q, a) with per-prime caching.
-
-    The fast path assembles Xi multiplicatively from prime(-power) moduli;
-    ``xi_bruteforce`` evaluates the defining sum directly and serves as the
-    oracle for the fast path.
-    """
-
-    def __init__(self) -> None:
-        self._prime_cache: dict[tuple[int, int], Fraction] = {}
-
-    # -- fast path ---------------------------------------------------------
-
-    def xi(self, q: int, a: int) -> Fraction:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        a %= q
-        if q == 1:
-            return Fraction(1)
-        if math.gcd(a, q) != 1:
-            return Fraction(0)
-        out = Fraction(1)
-        for p, e in factorize(q):
-            if p == 2:
-                out *= self._xi_two(min(e, 2), a)
-            else:
-                out *= self._xi_odd_prime(p, a % p)
-            if out == 0:
-                return out
-        return out
-
-    def _xi_two(self, e: int, a: int) -> Fraction:
-        if e == 1:
-            return Fraction(1)
-        return Fraction(2) if a % 4 == 1 else Fraction(0)
-
-    def _xi_odd_prime(self, p: int, a: int) -> Fraction:
-        key = (p, a)
-        cached = self._prime_cache.get(key)
-        if cached is not None:
-            return cached
-        sq = _square_count(p)
-        cs = np.arange(1, p, dtype=np.int64)
-        t = (a - cs * cs) % p
-        total = int(sq[t].sum())
-        # psi'(p)/phi(p) * total simplifies to total / (p - 1 - chi(p))
-        val = Fraction(total, p - 1 - chi(p))
-        self._prime_cache[key] = val
-        return val
-
-    # -- brute-force oracle --------------------------------------------------
-
-    def xi_bruteforce(self, q: int, a: int) -> Fraction:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        if q > 10**4:
-            raise ValueError("brute-force path is capped at q <= 10^4")
-        a %= q
-        if q == 1:
-            return Fraction(1)
-        if math.gcd(a, q) != 1:
-            return Fraction(0)
-        total = self.coprime_rho_row(q)[a]
-        return psi_prime(q) / euler_phi(q) * int(total)
-
-    @lru_cache(maxsize=64)
-    def coprime_rho_row(self, q: int) -> np.ndarray:
-        """T[a] = sum over coprime c of rho_c(q, a), for every a mod q.
-
-        Computed as a circular convolution of the square-count table with
-        the multiset {c^2 mod q : (c, q) = 1}.
-        """
-        sq = _square_count(q).astype(np.float64)
-        cs = np.arange(q, dtype=np.int64)
-        coprime = np.gcd(cs, q) == 1
-        mult = np.bincount((cs[coprime] ** 2) % q, minlength=q).astype(np.float64)
-        conv = np.fft.irfft(np.fft.rfft(sq) * np.fft.rfft(mult), n=q)
-        out = np.rint(conv).astype(np.int64)
-        return out
-
-
-_default_evaluator = XiEvaluator()
-
-
 def xi(q: int, a: int) -> Fraction:
-    return _default_evaluator.xi(q, a)
+    """Exact Xi(q, a), assembled multiplicatively from prime(-power) moduli.
+
+    ``xi_bruteforce`` evaluates the defining sum directly and serves as the
+    oracle for this fast path.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    a %= q
+    if q == 1:
+        return Fraction(1)
+    if math.gcd(a, q) != 1:
+        return Fraction(0)
+    out = Fraction(1)
+    for p, e in factorize(q):
+        if p == 2:
+            # Xi(2, a) = 1; Xi(2^r, a) = Xi(4, a) is 2 on a = 1 (4) and 0 off it
+            if e > 1:
+                out *= 2 if a % 4 == 1 else 0
+        else:
+            out *= _xi_odd_prime(p, a % p)
+        if out == 0:
+            return out
+    return out
+
+
+@lru_cache(maxsize=None)
+def _xi_odd_prime(p: int, a: int) -> Fraction:
+    sq = _square_count(p)
+    cs = np.arange(1, p, dtype=np.int64)
+    t = (a - cs * cs) % p
+    total = int(sq[t].sum())
+    # psi'(p)/phi(p) * total simplifies to total / (p - 1 - chi(p))
+    return Fraction(total, p - 1 - chi(p))
 
 
 def xi_bruteforce(q: int, a: int) -> Fraction:
-    return _default_evaluator.xi_bruteforce(q, a)
+    """Xi(q, a) straight from its defining sum, for q <= 10^4."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if q > 10**4:
+        raise ValueError("brute-force path is capped at q <= 10^4")
+    a %= q
+    if q == 1:
+        return Fraction(1)
+    if math.gcd(a, q) != 1:
+        return Fraction(0)
+    total = coprime_rho_row(q)[a]
+    return psi_prime(q) / euler_phi(q) * int(total)
+
+
+@lru_cache(maxsize=64)
+def coprime_rho_row(q: int) -> np.ndarray:
+    """T[a] = sum over coprime c of rho_c(q, a), for every a mod q.
+
+    Computed as a circular convolution of the square-count table with
+    the multiset {c^2 mod q : (c, q) = 1}.  Both are tables of nonnegative
+    integer counts whose entries sum to at most q, so every exact T[a] is
+    an integer <= q^2 <= 10^8 for the q <= 10^4 that ``xi_bruteforce``
+    allows, and the float64 FFT error (of order eps * log2(q) * q^2) is far
+    below 1/4.  Rounding is therefore exact; the margin max|c - rint(c)| <
+    1/4 is checked on every call and an AssertionError is raised if it fails.
+    """
+    sq = _square_count(q).astype(np.float64)
+    cs = np.arange(q, dtype=np.int64)
+    coprime = np.gcd(cs, q) == 1
+    mult = np.bincount((cs[coprime] ** 2) % q, minlength=q).astype(np.float64)
+    conv = np.fft.irfft(np.fft.rfft(sq) * np.fft.rfft(mult), n=q)
+    out = np.rint(conv)
+    margin = float(np.max(np.abs(conv - out)))
+    if not margin < 0.25:
+        raise AssertionError(f"FFT rounding margin {margin:.3g} >= 1/4 in coprime_rho_row({q})")
+    return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +244,6 @@ def xi_extremes(Q: int, direction: Literal["small", "large"]) -> XiExtreme:
     """
     if Q < 2:
         raise ValueError("Q must be >= 2")
-    ev = _default_evaluator
     residues: list[tuple[int, int]] = []  # (modulus, residue)
     q = 1
     if direction == "large" and 4 <= Q:
@@ -273,7 +256,7 @@ def xi_extremes(Q: int, direction: Literal["small", "large"]) -> XiExtreme:
             continue
         if q * p > Q:
             break
-        vals = [(ev.xi(p, a), a) for a in range(1, p)]
+        vals = [(xi(p, a), a) for a in range(1, p)]
         if direction == "large":
             best = max(vals, key=lambda t: (t[0], -t[1]))
         else:
@@ -281,7 +264,7 @@ def xi_extremes(Q: int, direction: Literal["small", "large"]) -> XiExtreme:
         residues.append((p, best[1]))
         q *= p
     a = _crt(residues) if residues else 1
-    return XiExtreme(q=q, a=a, xi_value=_default_evaluator.xi(q, a))
+    return XiExtreme(q=q, a=a, xi_value=xi(q, a))
 
 
 def _crt(residues: list[tuple[int, int]]) -> int:

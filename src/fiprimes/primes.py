@@ -328,17 +328,22 @@ class FiDecomposition:
     l: int
 
 
-def fi_decompositions(n: int) -> list[FiDecomposition]:
-    """All (k, l) with k >= 1, l prime, k^2 + l^2 = n, sorted by l."""
+def fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> list[FiDecomposition]:
+    """All (k, l) with k >= 1, l in ``ls``, k^2 + l^2 = n, in the order of ``ls``.
+
+    ``ls`` holds increasing Python ints, since the loop ends at the first l
+    with l^2 >= n.  As in ``fi_pairs`` it defaults to the primes, so the
+    result is the FI decompositions of n sorted by l.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if ls is None:
+        # a table whose limit is the power of two >= sqrt(n - 1), so that the
+        # roots of many n share a few cached tables; rem < 1 ends the loop
+        # there.  tolist() costs less than one int() per visited l.
+        ls = primes_upto(1 << (math.isqrt(n - 1) - 1).bit_length()).tolist()
     out: list[FiDecomposition] = []
-    if n < 5:
-        return out
-    # a table whose limit is the power of two >= sqrt(n - 1), so that the
-    # roots of many n share a few cached tables; rem < 1 ends the loop there
-    for l in primes_upto(1 << (math.isqrt(n - 1) - 1).bit_length()):
-        l = int(l)
+    for l in ls:
         rem = n - l * l
         if rem < 1:
             break
@@ -402,13 +407,13 @@ class FiCountResult:
     ratio: float
 
 
-def fi_weighted_count(x: int, h_limit: int = 10**6) -> FiCountResult:
+def fi_weighted_count(x: int) -> FiCountResult:
     """sum_{n <= x} LL(n), visiting (k, l) pairs rather than every n.
 
     Also reports the ratio against H*x.  Under the k >= 1 ordered-pair
     convention the ratio stabilises near 1/2.
     """
-    from .local import euler_H
+    from .local import reference_H
 
     if x < 2:
         raise ValueError("x must be >= 2")
@@ -426,7 +431,7 @@ def fi_weighted_count(x: int, h_limit: int = 10**6) -> FiCountResult:
         idx[idx == len(pp_keys)] = 0
         pp_part = pp_vals[idx[pp_keys[idx] == ns]].sum()
         total += math.log(l) * (prime_part + pp_part)
-    h, _ = euler_H(h_limit)
+    h = reference_H()
     return FiCountResult(value=total, h=h, hx=h * x, ratio=total / (h * x))
 
 

@@ -1,8 +1,10 @@
-"""Small quadrature toolkit: adaptive Simpson and trapezoid helpers."""
+"""Adaptive Simpson quadrature."""
 
 from __future__ import annotations
 
 from typing import Callable
+
+_MAX_DEPTH = 40  # bisection depth at which a subinterval is accepted regardless of tol
 
 
 def adaptive_simpson(
@@ -10,7 +12,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 40,
 ) -> tuple[float, float]:
     """Adaptive Simpson integration of f over [a, b].
 
@@ -20,7 +21,7 @@ def adaptive_simpson(
     if a == b:
         return 0.0, 0.0
     if a > b:
-        v, e = adaptive_simpson(f, b, a, tol, max_depth)
+        v, e = adaptive_simpson(f, b, a, tol)
         return -v, e
 
     def simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -34,7 +35,7 @@ def adaptive_simpson(
         left = simpson(f0, fl, f1, x1 - x0)
         right = simpson(f1, fr, f2, x2 - x1)
         err = (left + right - whole) / 15.0
-        if depth >= max_depth or abs(err) < tol:
+        if depth >= _MAX_DEPTH or abs(err) < tol:
             return left + right + err, abs(err)
         lv, le = recurse(x0, x1, f0, f1, left, depth + 1, tol / 2.0)
         rv, re_ = recurse(x1, x2, f1, f2, right, depth + 1, tol / 2.0)

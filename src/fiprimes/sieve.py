@@ -25,13 +25,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from .buchstab import rough_indicator
 from .primes import (
     distinct_prime_factors,
     factorize,
+    fi_decompositions,
     fi_pairs,
     mangoldt,
     mangoldt_table,
@@ -122,6 +124,23 @@ def _prefix_ok(m: int, prod: int, p: int, beta: float, level: float, sign: int) 
     return prod * p**beta < level
 
 
+def _chain(ps_desc: tuple[int, ...], D: float, beta: float, sign: int) -> Iterator[tuple[int, int]]:
+    """Yield (d, mu(d)) for each d the beta-sieve of level D keeps, depth-first.
+
+    d runs over the products of decreasing chains of ps_desc (sorted in
+    decreasing order) whose prefixes all pass ``_prefix_ok``; d = 1 comes first.
+    """
+
+    def rec(start: int, depth: int, prod: int, mu: int) -> Iterator[tuple[int, int]]:
+        yield prod, mu
+        for j in range(start, len(ps_desc)):
+            p = ps_desc[j]
+            if _prefix_ok(depth + 1, prod * p, p, beta, D, sign):
+                yield from rec(j + 1, depth + 1, prod * p, -mu)
+
+    return rec(0, 0, 1, 1)
+
+
 def beta_sieve_weights(
     D: float, beta: float, P: Iterable[int], cap: int = SUPPORT_CAP
 ) -> tuple[SieveWeightSet, SieveWeightSet]:
@@ -132,37 +151,14 @@ def beta_sieve_weights(
     out = []
     for sign in (+1, -1):
         weights: dict[int, int] = {}
-
-        def rec(start: int, depth: int, prod: int, mu: int) -> None:
+        for d, mu in _chain(ps, D, beta, sign):
             if len(weights) >= cap:
                 raise ValueError(f"support exceeds cap {cap}")
-            weights[prod] = mu
-            for j in range(start, len(ps)):
-                p = ps[j]
-                if _prefix_ok(depth + 1, prod * p, p, beta, D, sign):
-                    rec(j + 1, depth + 1, prod * p, -mu)
-
-        rec(0, 0, 1, 1)
+            weights[d] = mu
         out.append(
             SieveWeightSet(level=D, beta=beta, prime_range=ps, sign=sign, weights=weights)
         )
     return out[0], out[1]
-
-
-def _theta_eval(ps_desc: tuple[int, ...], D: float, beta: float, sign: int) -> int:
-    """theta(n) for n whose distinct in-range primes are ps_desc, by chain DFS."""
-    total = 0
-
-    def rec(start: int, depth: int, prod: int, mu: int) -> None:
-        nonlocal total
-        total += mu
-        for j in range(start, len(ps_desc)):
-            p = ps_desc[j]
-            if _prefix_ok(depth + 1, prod * p, p, beta, D, sign):
-                rec(j + 1, depth + 1, prod * p, -mu)
-
-    rec(0, 0, 1, 1)
-    return total
 
 
 def composed_theta_factored(
@@ -177,23 +173,17 @@ def composed_theta_factored(
     ps = sorted(set(prime_factors), reverse=True)
     stage1 = tuple(p for p in ps if p <= z0)
     stage2 = tuple(p for p in ps if z0 < p <= z)
-    t1 = _theta_eval(stage1, D0, 10, sign)
-    t2 = _theta_eval(stage2, D, 2, sign)
+    t1 = sum(mu for _, mu in _chain(stage1, D0, 10, sign))
+    t2 = sum(mu for _, mu in _chain(stage2, D, 2, sign))
     return t1 * t2
 
 
-def composed_theta(
-    n: int,
-    params: MajorantParams,
-    sign: int,
-    level_override: Optional[float] = None,
-) -> int:
+def composed_theta(n: int, params: MajorantParams, sign: int) -> int:
     """theta_pm(n) for the inner-variable sieve (level D1, ranges z1/z0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    D = level_override if level_override is not None else params.D1
     return composed_theta_factored(
-        distinct_prime_factors(n), D, params.D0, params.z1, params.z0, sign
+        distinct_prime_factors(n), params.D1, params.D0, params.z1, params.z0, sign
     )
 
 
@@ -245,34 +235,19 @@ def pan_inequality_check(l: int, params: MajorantParams) -> PanCheck:
         raise ValueError("l must be squarefree")
     z, z1 = params.z, params.z1
     primes = [p for p, _ in facs]
-    lhs = 0 if any(p <= z for p in primes) else 1
-    rho_l_z1 = 0 if any(p <= z1 for p in primes) else 1
+    lhs = rough_indicator(l, z)
     mids = [p for p in primes if z1 <= p < z]
-    rhs = Fraction(rho_l_z1)
+    rhs = Fraction(rough_indicator(l, z1))
+    # l is squarefree, so l // p has the prime factors of l other than p
     for p in mids:
-        rest = [q for q in primes if q != p]
-        rhs -= Fraction(1, 2) * (0 if any(q <= z1 for q in rest) else 1)
+        rhs -= Fraction(1, 2) * rough_indicator(l // p, z1)
     for p1, p2, p3 in combinations(sorted(mids), 3):
-        rest = [q for q in primes if q not in (p1, p2, p3)]
-        rhs += Fraction(1, 2) * (0 if any(q <= p1 for q in rest) else 1)
+        rhs += Fraction(1, 2) * rough_indicator(l // (p1 * p2 * p3), p1)
     return PanCheck(holds=Fraction(lhs) <= rhs, lhs=lhs, rhs=rhs, mid_factor_count=len(mids))
 
 
 # ---------------------------------------------------------------------------
 # majorant assembly
-
-
-def _all_decompositions(n: int) -> list[tuple[int, int]]:
-    """All (k, l) with k, l >= 1 and k^2 + l^2 = n."""
-    out = []
-    l = 1
-    while l * l < n:
-        rem = n - l * l
-        k = math.isqrt(rem)
-        if k * k == rem and k >= 1:
-            out.append((k, l))
-        l += 1
-    return out
 
 
 class MajorantEvaluator:
@@ -282,9 +257,6 @@ class MajorantEvaluator:
         self.params = params
         self._w: dict[int, tuple[float, float, float, float]] = {}
 
-    def weights(self, l: int) -> tuple[float, float, float]:
-        return self.weights_with_error(l)[:3]
-
     def weights_with_error(self, l: int) -> tuple[float, float, float, float]:
         cached = self._w.get(l)
         if cached is not None:
@@ -293,22 +265,19 @@ class MajorantEvaluator:
         logsx = p.log_sqrt_x
         facs = factorize(l)
         primes = [q for q, _ in facs]
-        distinct = sorted(set(primes), reverse=True)
 
-        w1 = logsx * composed_theta_factored(distinct, p.D1, p.D0, p.z1, p.z0, +1)
+        w1 = logsx * composed_theta_factored(primes, p.D1, p.D0, p.z1, p.z0, +1)
 
         w2 = 0.0
         mids = [q for q in set(primes) if p.z1 <= q < p.z]
         for q in mids:
-            m_factors = _cofactor_primes(facs, {q: 1})
             w2 -= 0.5 * logsx * composed_theta_factored(
-                m_factors, p.D1 / q, p.D0, p.z1, p.z0, -1
+                distinct_prime_factors(l // q), p.D1 / q, p.D0, p.z1, p.z0, -1
             )
 
         w3 = 0.0
         for q1, q2, q3 in combinations(sorted(mids), 3):
-            m_factors = _cofactor_primes(facs, {q1: 1, q2: 1, q3: 1})
-            if all(q > q1 for q in m_factors):
+            if rough_indicator(l // (q1 * q2 * q3), q1):
                 w3 += 0.5 * logsx
 
         lam_l = mangoldt(l)
@@ -340,8 +309,9 @@ class MajorantEvaluator:
         if n > self.params.x:
             raise ValueError("n must be <= x")
         s1 = s2 = s3 = se2 = 0.0
-        for _, l in _all_decompositions(n):
-            w1, w2, w3, e2 = self.weights_with_error(l)
+        # the inner variable l runs over all integers, not only primes
+        for d in fi_decompositions(n, range(1, math.isqrt(n - 1) + 1)):
+            w1, w2, w3, e2 = self.weights_with_error(d.l)
             s1 += w1
             s2 += w2
             s3 += w3
@@ -352,15 +322,6 @@ class MajorantEvaluator:
             total += (self.omega_outer(n) + self.e3(n)) * s3
         total += lam * se2
         return total
-
-
-def _cofactor_primes(facs: list[tuple[int, int]], removed: dict[int, int]) -> list[int]:
-    """Distinct primes of n / prod(removed) given the factorization of n."""
-    out = []
-    for p, e in facs:
-        if e - removed.get(p, 0) > 0:
-            out.append(p)
-    return out
 
 
 @dataclass(frozen=True)

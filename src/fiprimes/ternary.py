@@ -27,7 +27,6 @@ from .local import reference_H, xi
 from .primes import (
     CONVENTION_MULTIPLIER,
     euler_phi,
-    fi_decompositions,
     fi_primes_upto,
     is_fi_prime,
     lambda_lambda_table,
@@ -49,7 +48,6 @@ class RepresentationWitness:
             and sum(ps) == self.x
             and self.x % 4 == 3
             and all(is_fi_prime(p) for p in ps)
-            and all(fi_decompositions(p) for p in ps)
         )
 
 

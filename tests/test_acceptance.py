@@ -102,7 +102,7 @@ def test_criterion_2_xi_identities():
     ok = False
     try:
         for q in list(range(1, 2001)) + [2187, 2401]:  # include 3^7, 7^4
-            row = L._default_evaluator.coprime_rho_row(q)
+            row = L.coprime_rho_row(q)
             pp = L.psi_prime(q)
             phi = euler_phi(q)
             num_f, den_f = _xi_fast_row(q)

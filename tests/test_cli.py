@@ -65,6 +65,17 @@ def test_verify_ternary_rounding_violation_exit_code(capsys, monkeypatch):
     assert "rounding margin" in err
 
 
+def test_xi_bruteforce_rounding_violation_exit_code(capsys, monkeypatch):
+    from fiprimes.local import coprime_rho_row
+
+    irfft = np.fft.irfft
+    coprime_rho_row.cache_clear()
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    code, _, err = run_cli(capsys, "xi", "--q", "45", "--a", "7", "--brute-force")
+    assert code == 2
+    assert "rounding margin" in err
+
+
 def test_verify_ternary_csv(capsys):
     code, out, _ = run_cli(capsys, "verify-ternary", "--limit", "20", "--csv")
     lines = out.splitlines()
@@ -100,6 +111,26 @@ def test_enumerate_with_cache(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["primes"] == [5, 13, 29, 41, 53, 61, 73, 89]
     assert (tmp_path / "fi-primes.txt").exists()
+
+
+def test_enumerate_cache_from_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FI_CACHE_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "enumerate", "--limit", "100", "--json")
+    assert code == 0
+    assert json.loads(out)["primes"] == [5, 13, 29, 41, 53, 61, 73, 89]
+    assert (tmp_path / "fi-primes.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi", "--q", "3", "--a", "2", "--cache-dir", "."],
+    ["sieve", "--x", "1000", "--n", "10", "--cache-dir", "."],
+    ["constants", "--grid", "32"],
+])
+def test_flags_without_effect_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_validation_error_exit_code(capsys):

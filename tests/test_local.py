@@ -59,7 +59,7 @@ def test_xi_zero_off_coprime():
 
 def test_xi_matches_bruteforce_small():
     for q in range(1, 300):
-        row = L._default_evaluator.coprime_rho_row(q)
+        row = L.coprime_rho_row(q)
         pp = L.psi_prime(q)
         from fiprimes.primes import euler_phi
 
@@ -75,7 +75,7 @@ def test_xi_matches_bruteforce_small():
 def test_coprime_rho_row_against_direct_double_loop():
     # validates the FFT-convolution oracle itself against the raw count
     for q in (2, 3, 4, 8, 12, 30, 45, 97, 128, 210):
-        row = L._default_evaluator.coprime_rho_row(q)
+        row = L.coprime_rho_row(q)
         for a in range(q):
             direct = sum(
                 L.rho_density(c, q, a) for c in range(1, q + 1) if math.gcd(c, q) == 1

@@ -104,6 +104,17 @@ def test_fi_decompositions_bruteforce():
         assert got == expected, n
 
 
+def test_fi_decompositions_over_all_integers():
+    for n in range(1, 2001):
+        roots = range(1, math.isqrt(n) + 1)
+        expected = [(k, l) for l in roots for k in roots if k * k + l * l == n]
+        got = P.fi_decompositions(n, range(1, math.isqrt(n - 1) + 1))
+        assert [(d.k, d.l) for d in got] == expected, n
+    assert [(d.k, d.l) for d in P.fi_decompositions(5, range(1, 3))] == [(2, 1), (1, 2)]
+    assert [(d.k, d.l) for d in P.fi_decompositions(2, range(1, 2))] == [(1, 1)]
+    assert P.fi_decompositions(1, range(1, 1)) == []
+
+
 def test_is_fi_prime():
     assert P.is_fi_prime(5)
     assert not P.is_fi_prime(17)  # only 1 + 16, and 4 is not prime

@@ -46,6 +46,16 @@ def test_upper_sieve_dominates_indicator():
         assert plus.theta(n) >= ind
 
 
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_chain_evaluation_matches_materialised_weights(sign):
+    # z0 = 1 leaves stage 1 empty, so the composed value is the beta = 2 sieve alone
+    ps = [int(p) for p in primes_upto(49)]
+    weights = S.beta_sieve_weights(1e4, 2, ps)[0 if sign > 0 else 1]
+    for n in range(1, 20001):
+        got = S.composed_theta_factored(distinct_prime_factors(n), 1e4, 10.0, 49, 1, sign)
+        assert got == weights.theta(n), n
+
+
 def test_majorant_params_fixed_values(params_1e5):
     p = params_1e5
     assert p.xi == 0.265 and p.xi1 == 0.183 and p.delta0 == 1e-7

@@ -25,6 +25,12 @@ def test_witness_revalidation():
             assert w.validate(), x
 
 
+def test_witness_with_non_fi_prime_rejected():
+    # 17 is a prime = 1 (4), but 17 = 1 + 16 is its only sum of two squares
+    assert not T.RepresentationWitness(27, 5, 5, 17).validate()
+    assert T.RepresentationWitness(23, 5, 5, 13).validate()
+
+
 def test_table_too_small():
     fi = fi_primes_upto(100)
     with pytest.raises(ValueError):
