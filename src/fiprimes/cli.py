@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=str, default="0", help="frequency, float or a/q")
     p.add_argument("--N", type=int, default=1000)
     p.add_argument("--x", type=int, default=10**5)
-    p.add_argument("--D-I", dest="d_i", type=int, default=10)
+    p.add_argument("--D-I", dest="d_i", type=int, default=None,
+                   help="Type I level (default 10 for type1, 50 for dfi, which needs z < D_I)")
     p.add_argument("--W", type=int, default=1)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--phase", choices=["n", "dn"], default="n")
@@ -328,6 +329,7 @@ def _dispatch_expsum(args) -> int:
     from . import expsum as E
 
     gamma = _parse_gamma(args.gamma)
+    d_i = args.d_i if args.d_i is not None else (50 if args.kind == "dfi" else 10)
     payload: dict
     if args.kind == "s0":
         v = E.s0(float(gamma), args.N)
@@ -336,10 +338,10 @@ def _dispatch_expsum(args) -> int:
                    "ratio": None}
         lines = [f"S0 = {v.real:.6f} + {v.imag:.6f} i"]
     elif args.kind == "type1":
-        v = E.type1_sum(float(gamma), args.d_i, lambda l: 1.0, args.W, args.b,
+        v = E.type1_sum(float(gamma), d_i, lambda l: 1.0, args.W, args.b,
                         args.x, phase=args.phase)
         payload = {"value_re": v, "value_im": 0.0, "bound": None, "ratio": None}
-        lines = [f"R(D_I={args.d_i}) = {v:.6f}"]
+        lines = [f"R(D_I={d_i}) = {v:.6f}"]
     elif args.kind == "minsum":
         v = E.min_sum(gamma, args.J, args.K, args.multiplier)
         if isinstance(gamma, Fraction):
@@ -362,7 +364,7 @@ def _dispatch_expsum(args) -> int:
     elif args.kind == "dfi":
         c = np.zeros(args.x + 1, dtype=np.complex128)
         c[1:] = 1.0
-        parts = E.dfi_decompose(c, args.z, args.U1, args.U2, args.d_i, args.bands)
+        parts = E.dfi_decompose(c, args.z, args.U1, args.U2, d_i, args.bands)
         payload = {"value_re": parts.total.real, "value_im": parts.total.imag,
                    "bound": parts.residual_bound,
                    "ratio": abs(parts.residual) / parts.residual_bound if parts.residual_bound else None}

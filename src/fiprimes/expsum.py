@@ -9,10 +9,12 @@ bilinear parts with an explicit remainder band.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -107,19 +109,46 @@ class ArcDecomposition:
             return math.inf
         return math.exp(log_val)
 
-    def arcs(self) -> list[Arc]:
-        if self.q_bound > 10**6:
-            raise ValueError("arc listing is capped at q_bound <= 10^6")
-        out = []
-        for q in range(1, self.q_bound + 1):
-            for a in range(q):
-                if math.gcd(a, q) == 1:
-                    out.append(Arc(q=q, a=a))
-        return out
+    def _farey(self) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``_farey_table(q_bound)`` if the arcs are disjoint and it fits its budget, else None.
+
+        Two distinct reduced fractions of order Q are at least 1/Q^2 apart.
+        A point that passes ``abs(g - a / q) <= radius`` lies within
+        radius + 2^-52 of the exact a/q (the rounding of a / q and of the
+        difference), so while 2 (radius + 2^-50) Q^2 < 1 no point passes for
+        two fractions.  Rounding is monotone, so a fraction that passes is
+        one of the point's two sorted neighbours, and it is the one the scan
+        finds: the scan's nearest a at that q is the same a.
+        """
+        Q = self.q_bound
+        disjoint = 2.0 * (self.radius + 2.0**-50) * Q * Q < 1.0
+        # the build holds at most five int64 arrays over the Q (Q + 1) candidates
+        if not disjoint or 40 * Q * (Q + 1) > FAREY_MAX_BYTES:
+            return None
+        return _farey_table(Q)
 
     def classify(self, gamma: float) -> Optional[Arc]:
-        """Containing major arc, scanning denominators upward; None if minor."""
+        """Containing major arc; None if minor.
+
+        The two Farey neighbours of gamma when the arcs are disjoint, else
+        the scan over every q (``_classify_scan``, the oracle).
+        """
         g = gamma % 1.0
+        table = self._farey()
+        if table is None:
+            return self._classify_scan(g)
+        centers, qs, nums = table
+        i = bisect.bisect_left(centers, g)
+        for j in (i - 1, i):
+            if 0 <= j < len(centers) and abs(g - float(centers[j])) <= self.radius:
+                q = int(qs[j])
+                return Arc(q=q, a=int(nums[j]) % q)
+        if math.isnan(g):
+            raise ValueError("cannot classify NaN")
+        return None
+
+    def _classify_scan(self, g: float) -> Optional[Arc]:
+        """Scan denominators upward: the first q whose nearest a/q is reduced and within radius."""
         for q in range(1, self.q_bound + 1):
             a = round(g * q)
             if abs(g - a / q) > self.radius:
@@ -133,6 +162,19 @@ class ArcDecomposition:
     def classify_grid(self, gammas: np.ndarray) -> np.ndarray:
         """Vectorised classification: the containing q per point, 0 if minor."""
         g = np.asarray(gammas, dtype=np.float64) % 1.0
+        table = self._farey()
+        if table is None:
+            return self._classify_grid_scan(g)
+        centers, qs, _ = table
+        i = np.searchsorted(centers, g)
+        out = np.zeros(len(g), dtype=np.int64)
+        for j in (np.maximum(i - 1, 0), np.minimum(i, len(centers) - 1)):
+            near = np.abs(g - centers[j]) <= self.radius
+            out[near] = qs[j[near]]
+        return out
+
+    def _classify_grid_scan(self, g: np.ndarray) -> np.ndarray:
+        """The scan of ``_classify_scan`` per point, stopping once every point has its q."""
         out = np.zeros(len(g), dtype=np.int64)
         for q in range(1, self.q_bound + 1):
             a = np.rint(g * q)
@@ -141,7 +183,32 @@ class ArcDecomposition:
                 aa = a.astype(np.int64) % q
                 near &= np.gcd(aa, q) == 1
             out = np.where((out == 0) & near, q, out)
+            if out.all():  # with ARC_EXPONENT_FULL, q = 1 takes every point
+                break
         return out
+
+
+FAREY_MAX_BYTES = 64 << 20  # above this the arc classifiers scan every q
+
+
+@lru_cache(maxsize=4)
+def _farey_table(Q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every reduced a/q with 1 <= q <= Q and 0 <= a <= q, sorted by value.
+
+    Returns read-only (centers, qs, nums) with centers[i] = nums[i] / qs[i],
+    the correctly rounded float that the scan's ``a / q`` also gives.
+    1/1 is kept beside 0/1 because ``gamma % 1.0`` can round up to 1.0.
+    """
+    qs, nums = np.divmod(np.arange(Q * (Q + 1), dtype=np.int64), Q + 1)
+    qs += 1
+    keep = (nums <= qs) & (np.gcd(nums, qs) == 1)
+    qs, nums = qs[keep], nums[keep]
+    centers = nums / qs
+    order = np.argsort(centers)
+    table = (centers[order], qs[order], nums[order])
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,11 @@ def _divisors(n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _square_count(q: int) -> np.ndarray:
-    """sq[t] = #{k mod q : k^2 = t (q)}."""
+    """sq[t] = #{k mod q : k^2 = t (q)}, read-only because the cache shares it."""
     ks = np.arange(q, dtype=np.int64)
-    return np.bincount((ks * ks) % q, minlength=q)
+    sq = np.bincount((ks * ks) % q, minlength=q)
+    sq.setflags(write=False)
+    return sq
 
 
 def xi(q: int, a: int) -> Fraction:
@@ -210,6 +212,7 @@ def coprime_rho_row(q: int) -> np.ndarray:
     allows, and the float64 FFT error (of order eps * log2(q) * q^2) is far
     below 1/4.  Rounding is therefore exact; the margin max|c - rint(c)| <
     1/4 is checked on every call and an AssertionError is raised if it fails.
+    The row is read-only because the cache hands it to every caller.
     """
     sq = _square_count(q).astype(np.float64)
     cs = np.arange(q, dtype=np.int64)
@@ -220,7 +223,9 @@ def coprime_rho_row(q: int) -> np.ndarray:
     margin = float(np.max(np.abs(conv - out)))
     if not margin < 0.25:
         raise AssertionError(f"FFT rounding margin {margin:.3g} >= 1/4 in coprime_rho_row({q})")
-    return out.astype(np.int64)
+    row = out.astype(np.int64)
+    row.setflags(write=False)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,17 @@ def test_expsum_type2_json(capsys):
     assert payload["value_im"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_expsum_dfi_default_flags(capsys):
+    code, out, _ = run_cli(capsys, "expsum", "dfi")
+    assert code == 0
+    assert out.startswith("S = ")
+    code, out, _ = run_cli(capsys, "expsum", "dfi", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == "fi/1"
+    assert 0.0 <= payload["ratio"] <= 1.0
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--limit", "30", "--csv")
     assert out.splitlines() == ["p", "5", "13", "29"]

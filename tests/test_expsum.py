@@ -93,6 +93,54 @@ def test_arc_grid_million_points_all_classified():
     assert qs[333333] == 3  # nearest rational to 0.333333 within radius is 1/3
 
 
+def test_arc_farey_table_matches_scan_at_1e8():
+    arcs = E.ArcDecomposition(x=10**8, exponent=2.0)
+    centers, qs, nums = arcs._farey()  # disjoint arcs: the table path is taken
+    assert len(centers) == 35059
+    assert np.all(np.diff(centers) > 0)
+    assert (qs[-1], nums[-1]) == (1, 1)
+    r = arcs.radius
+    rng = np.random.default_rng(20261017)
+    planted = centers[rng.integers(0, len(centers), 20000)] + rng.uniform(-4, 4, 20000) * r
+    # the last point inside each arc end and the first outside are among these
+    ends = np.concatenate([centers + r, centers - r])
+    gs = np.concatenate([rng.uniform(0, 1, 20000), planted, np.nextafter(ends, -np.inf), ends,
+                         np.nextafter(ends, np.inf), [-1e-20, -0.0, 1.0, 2.5, -0.75]])
+    fast = arcs.classify_grid(gs)
+    assert np.array_equal(fast, arcs._classify_grid_scan(gs % 1.0))
+    assert 0.3 < float((fast > 0).mean()) < 0.7  # both outcomes are exercised
+    # g = r lies exactly on the edge of the 0/1 arc: abs(r - 0.0) == r
+    for g in [*gs[::40].tolist(), r, 1.0 - r]:
+        assert arcs.classify(g) == arcs._classify_scan(g % 1.0), g.hex()
+    assert arcs.classify(r) == E.Arc(q=1, a=0)
+    assert arcs.classify(-1e-20) == E.Arc(q=1, a=0)  # -1e-20 % 1.0 == 1.0, the 1/1 entry
+
+
+def test_arc_farey_table_is_read_only():
+    for arr in E.ArcDecomposition(x=10**8)._farey():
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_arc_overlapping_or_oversized_tables_fall_back_to_scan(monkeypatch):
+    small = E.ArcDecomposition(x=10**3)
+    assert 2 * small.radius * small.q_bound**2 >= 1.0
+    assert small._farey() is None
+    full = E.ArcDecomposition(x=10**6, exponent=E.ARC_EXPONENT_FULL)
+    assert full._farey() is None
+    assert full.classify(0.3) == E.Arc(1, 0)
+    gs = np.linspace(0.0, 1.0, 2001)
+    assert np.array_equal(full.classify_grid(gs), np.ones(len(gs), dtype=np.int64))
+    assert small.classify_grid(gs)[1000] == 2  # 1/2
+    assert small.classify(0.5) == E.Arc(q=2, a=1)
+    big = E.ArcDecomposition(x=10**8)
+    want = big.classify_grid(gs)
+    monkeypatch.setattr(E, "FAREY_MAX_BYTES", 0)
+    assert big._farey() is None
+    assert np.array_equal(big.classify_grid(gs), want)
+    assert big.classify(1.0 / 3.0) == E.Arc(q=3, a=1)
+
+
 def test_type1_zero_frequency_counts_representations():
     x = 5000
     v = E.type1_sum(0.0, 1, lambda l: 1.0, 1, 1, x)

@@ -83,6 +83,21 @@ def test_coprime_rho_row_against_direct_double_loop():
             assert int(row[a]) == direct, (q, a)
 
 
+def test_xi_matches_bruteforce_at_benchmark_q():
+    # the largest q the analytic benchmark stream draws is 4999
+    for q in (4995, 4996, 4997, 4998, 4999):
+        for a in range(q):
+            assert L.xi(q, a) == L.xi_bruteforce(q, a), (q, a)
+
+
+def test_cached_rows_are_read_only():
+    with pytest.raises(ValueError):
+        L.coprime_rho_row(45)[7] = 0
+    with pytest.raises(ValueError):
+        L._square_count(45)[0] = 0
+    assert L.xi_bruteforce(45, 7) == Fraction(8, 9)
+
+
 def test_xi_power_blind():
     for p in (3, 5, 7):
         for a in (1, 2, p - 1):
