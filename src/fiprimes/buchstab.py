@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .primes import factorize, primes_upto, spf_table
+from .primes import factorize, primes_upto
 from .quadrature import adaptive_simpson
 
 UPPER_PLATEAU = (1.0 + math.log(2.0)) / 3.0
@@ -104,26 +104,30 @@ def buchstab_B(u: float, interpolant: Optional[BuchstabInterpolant] = None) -> f
     return interp.eval(u)
 
 
-def rough_indicator(n: int, z: float, spf: Optional[np.ndarray] = None) -> int:
-    """1 iff every prime factor of n exceeds z (vacuous for n = 1).
+def rough_indicator(n: int, z: float) -> int:
+    """1 iff every prime factor of n exceeds z (vacuous for n = 1), by trial division.
 
-    With a smallest-prime-factor table ``spf`` that covers n, the prime
-    factors are walked in increasing order and the walk stops at the first
-    one <= z; otherwise n is factored by trial division.  Prime factors are
-    integers, so "every prime factor >= p" for an integer p is
-    ``rough_indicator(n, p - 1)``.
+    Prime factors are integers, so "every prime factor >= p" for an integer
+    p is ``rough_indicator(n, p - 1)``.  ``rough_mask`` is the bulk form.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spf is None or n >= len(spf):
-        return 0 if any(p <= z for p, _ in factorize(n)) else 1
-    while n > 1:
-        p = int(spf[n])
-        if p <= z:
-            return 0
-        while n % p == 0:
-            n //= p
-    return 1
+    return 0 if any(p <= z for p, _ in factorize(n)) else 1
+
+
+def rough_mask(limit: int, z: float) -> np.ndarray:
+    """Fresh bool array with mask[n] == rough_indicator(n, z) for 0 < n <= limit.
+
+    mask[0] is False.  Built by striking the multiples of every prime
+    p <= z; primes above the limit strike nothing.
+    """
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[0] = False
+    for p in primes_upto(int(max(0.0, min(z, limit)))).tolist():
+        mask[p::p] = False
+    return mask
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,7 @@ def rough_count(T: int, z: float) -> RoughCount:
     """
     if not (2 <= z <= T):
         raise ValueError("need 2 <= z <= T")
-    mask = np.ones(T + 1, dtype=bool)
-    mask[0] = False
-    for p in primes_upto(int(z)):
-        mask[int(p) :: int(p)] = False
-    exact = int(np.count_nonzero(mask))
+    exact = int(np.count_nonzero(rough_mask(T, z)))
 
     log_z = math.log(z)
     u_top = math.log(T) / log_z
@@ -184,19 +184,16 @@ def buchstab_identity_check(n: int, z: float, w: float) -> bool:
 
 
 def buchstab_identity_scan(limit: int, z: float, w: float) -> int:
-    """Number of n <= limit violating the identity (0 expected); bulk version."""
+    """Number of n <= limit violating the identity (0 expected); bulk version.
+
+    The right side is summed as integers, so a cofactor counted twice shows
+    up as a violation rather than being absorbed by a boolean or.
+    """
     if not z < w:
         raise ValueError("need z < w")
-    spf = spf_table(limit)
-    bad = 0
-    mid_primes = [int(p) for p in primes_upto(int(w)) if z < p <= w]
-    for n in range(1, limit + 1):
-        lhs = rough_indicator(n, z, spf)
-        rhs = rough_indicator(n, w, spf)
-        for p in mid_primes:
-            if n % p == 0:
-                rhs += rough_indicator(n // p, p - 1, spf)
-        if lhs != rhs:
-            bad += 1
-    return bad
-
+    lhs = rough_mask(limit, z)
+    rhs = rough_mask(limit, w).astype(np.int64)
+    for p in primes_upto(min(int(w), limit)).tolist():
+        if p > z:
+            rhs[p::p] += rough_mask(limit // p, p - 1)[1:]
+    return int(np.count_nonzero(lhs != rhs))

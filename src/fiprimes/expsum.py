@@ -19,9 +19,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .buchstab import rough_indicator
+from .buchstab import rough_mask
 from .lattice import LatticeBasis, StarLattice, annulus_lattice_points
-from .primes import fi_pairs, primes_upto, spf_table
+from .primes import fi_pairs, primes_upto
 
 ARC_EXPONENT_FULL = 1e5   # makes the major arcs cover [0, 1] at any feasible x
 ARC_EXPONENT_DESK = 2.0   # nontrivial partition at desk scale
@@ -407,18 +407,14 @@ def dfi_decompose(
     n_max = len(arr) - 1
     if n_max > 10**6:
         raise ValueError("support exceeds the enumeration cap 10^6")
-    spf = spf_table(n_max)
     absarr = np.abs(arr)
     X = float(absarr[1:].sum())
 
-    def S_of(seq: np.ndarray, zz: float) -> complex:
-        tot = 0j
-        for n in range(1, len(seq)):
-            if seq[n] != 0 and rough_indicator(n, zz, spf):
-                tot += seq[n]
-        return tot
+    def rough_multiples_sum(m: int, cut: float) -> complex:
+        """sum of c(m j) over j <= n_max / m with j cut-rough."""
+        return arr[m::m][rough_mask(n_max // m, cut)[1:]].sum()
 
-    total = S_of(arr, z)
+    total = rough_multiples_sum(1, z)
 
     # Type I part: d | P(z) squarefree, d < D_I, at most one prime factor >= U1
     zp = [int(p) for p in primes_upto(min(int(z), n_max)) if p <= z]
@@ -448,15 +444,8 @@ def dfi_decompose(
             if not (y_lo <= p < y_hi):
                 continue
             for q in zp:
-                if not (y_hi < q < z):
-                    continue
-                pq = p * q
-                if pq > n_max:
-                    continue
-                for j in range(1, n_max // pq + 1):
-                    v = arr[pq * j]
-                    if v != 0 and rough_indicator(j, y_hi, spf):
-                        part += v
+                if y_hi < q < z and p * q <= n_max:
+                    part += rough_multiples_sum(p * q, y_hi)
         bands.append(part)
 
     # leftover double sum
@@ -465,15 +454,8 @@ def dfi_decompose(
         if not (U2 <= p < z):
             continue
         for q in zp[ip + 1 :]:
-            if not (q < z):
-                continue
-            pq = p * q
-            if pq > n_max:
-                continue
-            for j in range(1, n_max // pq + 1):
-                v = arr[pq * j]
-                if v != 0 and rough_indicator(j, p, spf):
-                    tail += v
+            if q < z and p * q <= n_max:
+                tail += rough_multiples_sum(p * q, p)
 
     residual = total - tail - type1 - sum(bands)
     G = 1.0

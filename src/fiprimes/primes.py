@@ -396,7 +396,8 @@ def lambda_lambda_table(x: int) -> np.ndarray:
     inner = np.zeros(x + 1, dtype=np.float64)
     for l, ns in fi_pairs(x):
         inner[ns] += math.log(l)
-    return inner * mangoldt_table(x)
+    inner *= mangoldt_table(x)
+    return inner
 
 
 @dataclass(frozen=True)

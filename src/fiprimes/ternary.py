@@ -158,24 +158,10 @@ def _exact_bool_convolution(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def scan_exceptions_direct(X: int) -> np.ndarray:
-    """Independent strategy: per-x bitset two-sum check (for cross-validation)."""
+    """Independent strategy: the per-x witness search on every x (for cross-validation)."""
     fi = fi_primes_upto(X)
-    in_fi = np.zeros(X + 1, dtype=bool)
-    in_fi[fi] = True
-    out = []
-    for x in range(3, X + 1, 4):
-        found = False
-        for p1 in fi:
-            p1 = int(p1)
-            if 3 * p1 > x:
-                break
-            t = x - p1
-            cands = fi[(fi >= p1) & (fi <= t // 2)]
-            if len(cands) and np.any(in_fi[t - cands]):
-                found = True
-                break
-        if not found:
-            out.append(x)
+    in_fi = _fi_bitmap(fi, X)
+    out = [x for x in range(3, X + 1, 4) if _smallest_witness(x, fi, in_fi) is None]
     return np.array(out, dtype=np.int64)
 
 
@@ -261,8 +247,7 @@ def wtrick_build(
     ll = lambda_lambda_table(W * N + b)
     scale = euler_phi(W) / (float(xi_wb) * W * CONVENTION_MULTIPLIER * reference_H())
     values = np.zeros(N + 1, dtype=np.float64)
-    ns = np.arange(1, N + 1, dtype=np.int64)
-    values[1:] = scale * ll[W * ns + b]
+    values[1:] = scale * ll[W + b :: W]
     return WTrickedSequence(x=x, w=w, W=W, b=b, N=N, values=values)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fiprimes import buchstab as B
-from fiprimes.primes import factorize, spf_table
+from fiprimes.primes import factorize
 from fiprimes.quadrature import adaptive_simpson
 
 
@@ -91,17 +91,27 @@ def test_rough_indicator():
     assert B.rough_indicator(15, 4) == 0
     assert B.rough_indicator(1, 100) == 1
     assert B.rough_indicator(49, 7) == 0  # 7 > z required strictly
-    # the spf walk (n <= 1500) and trial division (n > 1500) against an oracle
-    spf = spf_table(1500)
-    for z in (1, 2, 2.5, 3, 6.9, 7, 30, 1999):
+    # trial division and the bulk mask against an oracle
+    for z in (-1, 0, 1, 1.5, 2, 2.5, 3, 6.9, 7, 30, 1999, 2000, 5000, math.inf):
+        mask = B.rough_mask(2000, z)
+        assert mask.dtype == bool and len(mask) == 2001 and not mask[0]
         for n in range(1, 2001):
-            expected = int(all(n % d for d in range(2, min(n, math.floor(z)) + 1)))
-            assert B.rough_indicator(n, z, spf) == B.rough_indicator(n, z) == expected, (n, z)
+            expected = int(all(n % d for d in range(2, math.floor(min(n, z)) + 1)))
+            assert B.rough_indicator(n, z) == mask[n] == expected, (n, z)
     # "every prime factor >= p" for a prime p is rough_indicator(m, p - 1)
     for p in (2, 3, 7, 31):
+        mask = B.rough_mask(2000, p - 1)
         for m in range(1, 2001):
             expected = int(all(q >= p for q, _ in factorize(m)))
-            assert B.rough_indicator(m, p - 1, spf) == expected, (m, p)
+            assert B.rough_indicator(m, p - 1) == mask[m] == expected, (m, p)
+    # limits 0 and 1, a fresh array each call
+    assert B.rough_mask(0, 5).tolist() == [False]
+    assert B.rough_mask(1, 5).tolist() == [False, True]
+    a = B.rough_mask(10, 3)
+    a[:] = False
+    assert B.rough_mask(10, 3).tolist() == [False, True] + [False] * 3 + [True, False, True] + [False] * 3
+    with pytest.raises(ValueError):
+        B.rough_mask(-1, 5)
 
 
 def test_rough_count_examples():

@@ -258,14 +258,51 @@ def test_dfi_reference_instance():
     c[1:] = 1.0
     parts = E.dfi_decompose(c, z=11.0, U1=3.0, U2=5.0, D_I=50.0, K=3)
     # exact bookkeeping on the reference instance, frozen values
-    assert parts.total == pytest.approx(21.0)
-    assert parts.type1_part == pytest.approx(11.0)
-    assert parts.sieved_tail == pytest.approx(1.0)
-    assert parts.residual == pytest.approx(
+    assert (parts.total, parts.type1_part, parts.sieved_tail) == (21, 11, 1)
+    assert parts.residual == (
         parts.total - parts.sieved_tail - parts.type1_part - sum(parts.type2_parts)
     )
-    assert abs(parts.residual) == pytest.approx(6.0)
+    assert abs(parts.residual) == 6
     assert abs(parts.residual) <= parts.residual_bound
+
+
+def _dfi_rough_parts_oracle(c, z, U1, U2, K):
+    """S(C, z), the Type II bands and the sieved tail by scalar rough_indicator loops."""
+    from fiprimes.buchstab import rough_indicator as rho
+    from fiprimes.primes import primes_upto
+
+    n_max = len(c) - 1
+    zp = [int(p) for p in primes_upto(int(z)) if p <= z]
+
+    def S(m, cut):
+        return sum(c[m * j] for j in range(1, n_max // m + 1) if rho(j, cut))
+
+    ys = [U2 * (U1 / U2) ** (k / K) for k in range(K + 1)]
+    bands = [
+        sum(S(p * q, ys[k]) for p in zp if ys[k + 1] <= p < ys[k] for q in zp if ys[k] < q < z)
+        for k in range(K)
+    ]
+    tail = sum(S(p * q, p) for p in zp if U2 <= p < z for q in zp if p < q < z)
+    return S(1, z), bands, tail
+
+
+@pytest.mark.parametrize(
+    "z, U1, U2, D_I, K", [(11.0, 3.0, 5.0, 50.0, 3), (50.0, 5.0, 20.0, 300.0, 4)]
+)
+def test_dfi_rough_parts_match_scalar_loops(z, U1, U2, D_I, K):
+    rng = np.random.default_rng(20261017)
+    c = rng.normal(size=3001) + 1j * rng.normal(size=3001)
+    c[0] = 0
+    parts = E.dfi_decompose(c, z=z, U1=U1, U2=U2, D_I=D_I, K=K)
+    total, bands, tail = _dfi_rough_parts_oracle(c, z, U1, U2, K)
+    # only the summation order differs, so errors scale with the mass sum |c|
+    tol = 1e-9 * float(np.abs(c).sum())
+    assert abs(parts.total - total) <= tol
+    assert abs(parts.sieved_tail - tail) <= tol
+    assert len(parts.type2_parts) == K
+    assert all(abs(got - want) <= tol for got, want in zip(parts.type2_parts, bands))
+    assert abs(parts.total) > 1.0 and abs(parts.sieved_tail) > 1.0
+    assert sum(abs(b) > 1.0 for b in parts.type2_parts) >= 1
 
 
 def test_dfi_primes_above_z():
