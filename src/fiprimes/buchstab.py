@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .primes import factorize, primes_upto
+from .primes import check_bytes, factorize, primes_upto
 from .quadrature import adaptive_simpson
 
 UPPER_PLATEAU = (1.0 + math.log(2.0)) / 3.0
@@ -119,10 +119,12 @@ def rough_mask(limit: int, z: float) -> np.ndarray:
     """Fresh bool array with mask[n] == rough_indicator(n, z) for 0 < n <= limit.
 
     mask[0] is False.  Built by striking the multiples of every prime
-    p <= z; primes above the limit strike nothing.
+    p <= z; primes above the limit strike nothing.  Raises CapacityError,
+    before allocating, when its limit + 1 bytes exceed the table budget.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    check_bytes(limit + 1, f"rough mask to {limit}")
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
     for p in primes_upto(int(max(0.0, min(z, limit)))).tolist():

@@ -46,6 +46,18 @@ class CapacityError(ValueError):
 MAX_SEGMENT = 1 << 27          # largest (lo, hi] window sieve_range accepts
 MAX_BASE = 10**8               # largest allowed sqrt(hi)
 MAX_COUNT_X = 2 * 10**9        # cap for fi_weighted_count
+MAX_TABLE_BYTES = 2 * 10**9    # budget for the arrays of one bulk table
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Raise CapacityError when a table's byte estimate exceeds MAX_TABLE_BYTES.
+
+    Call it before allocating, so an oversized request fails cleanly
+    instead of with a numpy allocation error or by exhausting memory.
+    """
+    if nbytes > MAX_TABLE_BYTES:
+        raise CapacityError(f"{what} needs {nbytes} bytes, over the budget of {MAX_TABLE_BYTES}")
+
 
 # Odd numbers per segment of the sieve kernel (one byte each).  Medians of
 # five simple_sieve(10**8) runs on a 2-core Xeon VM with 2 MiB of L2 per
@@ -380,6 +392,13 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
     increasing, so ``table[ns] += w`` adds w exactly once to each entry.
     Every pair sum over n <= x (LL, FI primes, the Type I inner weights,
     the sieve majorant) is a reduction over these blocks.
+
+    Parity: an odd k with an odd l gives an even n > 2, which is neither a
+    prime nor a prime power.  ``fi_weighted_count`` and the FI-prime table
+    look only at those, so they read just the even k of each odd-l block
+    through ``_prime_power_blocks`` (l = 2 keeps every k: 8 = 2^2 + 2^2
+    carries Lambda(8)).  Every other consumer, ``lambda_lambda_table``
+    included, visits all pairs.
     """
     if ls is None:
         ls = primes_upto(math.isqrt(x - 1)) if x >= 5 else ()
@@ -389,6 +408,16 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
             continue
         ks = np.arange(1, math.isqrt(x - l * l) + 1, dtype=np.int64)
         yield l, ks * ks + l * l
+
+
+def _prime_power_blocks(x: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``fi_pairs(x)`` cut by its parity rule: even k only for odd l, no empty block."""
+    for l, ns in fi_pairs(x):
+        if l != 2:
+            ns = ns[1::2]
+            if not len(ns):
+                continue
+        yield l, ns
 
 
 def lambda_lambda_table(x: int) -> np.ndarray:
@@ -425,12 +454,12 @@ def fi_weighted_count(x: int) -> FiCountResult:
     pp_keys = np.array(sorted(pps), dtype=np.int64)
     pp_vals = np.array([pps[int(k)] for k in pp_keys], dtype=np.float64)
     total = 0.0
-    # a block exists only for x >= 5, and then pp_keys holds at least 4
-    for l, ns in fi_pairs(x):
+    for l, ns in _prime_power_blocks(x):
         prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()
-        idx = np.searchsorted(pp_keys, ns)
-        idx[idx == len(pp_keys)] = 0
-        pp_part = pp_vals[idx[pp_keys[idx] == ns]].sum()
+        # search the few prime powers among the block, not the block among
+        # them; both ascend, so the matches add up in the same order
+        pos = np.minimum(np.searchsorted(ns, pp_keys), len(ns) - 1)
+        pp_part = pp_vals[ns[pos] == pp_keys].sum()
         total += math.log(l) * (prime_part + pp_part)
     h = reference_H()
     return FiCountResult(value=total, h=h, hx=h * x, ratio=total / (h * x))
@@ -450,13 +479,14 @@ def fi_weighted_count_bruteforce(x: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# FI prime tables with a line-oriented disk cache
+# FI prime tables with a binary disk cache
 #
-# File format: one header line "fi-cache v2 <limit> <count> <crc32>", then one
-# prime per line.  count and crc32 cover the body after the header, so a file
-# torn at a line boundary is rejected instead of loading as a shorter table.
+# File format: one ASCII header line "fi-cache v3 <limit> <count> <crc32>",
+# then count little-endian int64 primes.  count and crc32 cover the body after
+# the header, so a torn or edited file is rejected instead of loading as a
+# different table.  Any other header, the v2 text format included, is stale.
 
-CACHE_HEADER = "fi-cache v2"
+CACHE_HEADER = "fi-cache v3"
 CACHE_ENV = "FI_CACHE_DIR"
 
 
@@ -484,9 +514,11 @@ def fi_primes_upto(limit: int, cache_dir: Optional[str | Path] = None) -> np.nda
 
 
 def _compute_fi_primes(limit: int) -> np.ndarray:
+    # the sieve and the hits bitmap, one byte per integer each
+    check_bytes(2 * (limit + 1), f"FI-prime table to {limit}")
     is_p = simple_sieve(limit)
     hits = np.zeros(limit + 1, dtype=bool)
-    for _, ns in fi_pairs(limit):
+    for _, ns in _prime_power_blocks(limit):
         hits[ns[is_p[ns]]] = True
     return np.flatnonzero(hits).astype(np.int64)
 
@@ -504,13 +536,9 @@ def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
         cache_limit, count, crc = (int(f) for f in fields[2:])
     except ValueError:
         return None
-    tokens = body.split()
-    if len(tokens) != count or zlib.crc32(body) != crc:
+    if len(body) != 8 * count or zlib.crc32(body) != crc:
         return None
-    try:
-        arr = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
+    arr = np.frombuffer(body, dtype="<i8")
     if len(arr) and (np.any(np.diff(arr) <= 0) or arr[-1] > cache_limit or arr[0] < 5):
         return None
     return cache_limit, arr
@@ -522,7 +550,7 @@ def _write_cache(path: Path, limit: int, arr: np.ndarray) -> None:
     Readers see the old file or the new one, never a partial one.  There is
     no fsync: a file torn by a crash fails its count or CRC and is rebuilt.
     """
-    body = "".join(f"{p}\n" for p in arr.tolist()).encode("ascii")
+    body = arr.astype("<i8", copy=False).tobytes()
     header = f"{CACHE_HEADER} {limit} {len(arr)} {zlib.crc32(body)}\n".encode("ascii")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")

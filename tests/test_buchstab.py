@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fiprimes import buchstab as B
+from fiprimes import buchstab as B, primes
 from fiprimes.primes import factorize
 from fiprimes.quadrature import adaptive_simpson
 
@@ -112,6 +112,18 @@ def test_rough_indicator():
     assert B.rough_mask(10, 3).tolist() == [False, True] + [False] * 3 + [True, False, True] + [False] * 3
     with pytest.raises(ValueError):
         B.rough_mask(-1, 5)
+
+
+def test_rough_mask_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # one byte per integer 0..limit
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 1000)
+    assert len(B.rough_mask(999, 5)) == 1000
+    with pytest.raises(primes.CapacityError):
+        B.rough_mask(1000, 5)
+    monkeypatch.undo()
+    forbid_alloc()
+    with pytest.raises(primes.CapacityError):
+        B.rough_count(10**10, 1000)
 
 
 def test_rough_count_examples():

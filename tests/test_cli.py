@@ -139,6 +139,13 @@ def test_validation_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_rough_over_the_byte_budget_exit_code(capsys, forbid_alloc):
+    forbid_alloc()
+    code, _, err = run_cli(capsys, "rough", "--limit", "10000000000", "--z", "1000")
+    assert code == 1
+    assert err.startswith("error: rough mask to 10000000000 needs 10000000001 bytes")
+
+
 def test_buchstab_command(capsys):
     code, out, _ = run_cli(capsys, "buchstab", "--u", "1.5", "--json")
     assert code == 0

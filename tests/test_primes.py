@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fiprimes import primes as P
 
@@ -146,6 +146,48 @@ def test_weighted_count_pair_vs_n_iteration():
     assert pair == pytest.approx(brute, abs=1e-8)
 
 
+def pair_count(x):
+    return sum(len(ns) for _, ns in P.fi_pairs(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=3000))
+@example(10)  # the l = 3 block holds only k = 1, like x = 11 and 12
+@example(11)
+@example(12)
+def test_weighted_count_matches_bruteforce(x):
+    # the two routes add the same terms in different orders
+    brute = P.fi_weighted_count_bruteforce(x)
+    assert abs(P.fi_weighted_count(x).value - brute) <= pair_count(x) * 2.0**-53 * brute
+
+
+def test_weighted_count_matches_all_pairs_table_at_1e7():
+    x = 10**7
+    table_sum = P.lambda_lambda_table(x).sum()
+    assert abs(P.fi_weighted_count(x).value - table_sum) <= pair_count(x) * 2.0**-53 * table_sum
+
+
+def test_fi_primes_table_matches_all_pairs_reference_at_1e7():
+    x = 10**7
+    is_p = P.simple_sieve(x)
+    hits = np.zeros(x + 1, dtype=bool)
+    for _, ns in P.fi_pairs(x):
+        hits[ns[is_p[ns]]] = True
+    assert np.array_equal(P._compute_fi_primes(x), np.flatnonzero(hits))
+
+
+def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # the sieve and the hits bitmap: 2 (limit + 1) bytes
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 1000)
+    P._compute_fi_primes(499)
+    with pytest.raises(P.CapacityError):
+        P._compute_fi_primes(500)
+    monkeypatch.undo()
+    forbid_alloc()
+    with pytest.raises(P.CapacityError):
+        P._compute_fi_primes(10**9)
+
+
 def test_weighted_count_includes_outer_prime_powers():
     # n = 8 = 2^3 = 2^2 + 2^2 carries Lambda(8) = log 2 with prime leg l = 2
     total = P.fi_weighted_count_bruteforce(10)
@@ -202,58 +244,73 @@ def test_mangoldt_scalar():
     assert P.mangoldt(60) == 0.0
 
 
-def cache_header(limit, arr):
-    body = "".join(f"{int(p)}\n" for p in arr).encode("ascii")
-    return f"fi-cache v2 {limit} {len(arr)} {zlib.crc32(body)}"
+def cache_file(limit, arr):
+    """The expected v3 cache file: ASCII header, then little-endian int64 primes."""
+    body = np.asarray(arr, dtype="<i8").tobytes()
+    return f"fi-cache v3 {limit} {len(arr)} {zlib.crc32(body)}\n".encode("ascii") + body
 
 
 def test_fi_cache_roundtrip(tmp_path):
     fresh = P.fi_primes_upto(500, cache_dir=tmp_path)
-    assert (tmp_path / "fi-primes.txt").exists()
+    path = tmp_path / "fi-primes.txt"
+    assert path.exists()
     again = P.fi_primes_upto(400, cache_dir=tmp_path)
     assert np.array_equal(again, fresh[fresh <= 400])
-    header = (tmp_path / "fi-primes.txt").read_text().splitlines()[0]
-    assert header == cache_header(500, fresh)
+    assert path.read_bytes() == cache_file(500, fresh)
 
 
 def test_fi_cache_regenerates_on_corruption(tmp_path):
     P.fi_primes_upto(300, cache_dir=tmp_path)
     path = tmp_path / "fi-primes.txt"
-    path.write_text(f"{cache_header(300, [13, 5])}\n13\n5\n")  # out of order
+    path.write_bytes(cache_file(300, [13, 5]))  # out of order, count and CRC valid
     fixed = P.fi_primes_upto(300, cache_dir=tmp_path)
     assert list(fixed[:2]) == [5, 13]
     # file was rewritten in sorted form
-    body = [int(t) for t in path.read_text().split()[5:]]
-    assert body == sorted(body)
+    assert path.read_bytes() == cache_file(300, fixed)
 
 
-def _torn(text):
-    lines = text.splitlines(keepends=True)
-    return "".join(lines[: len(lines) // 2])
+def _torn(data):
+    head, nl, body = data.partition(b"\n")
+    return head + nl + body[: 8 * (len(body) // 16) + 3]  # cut inside an entry
 
 
-def _v1(text):
-    return "fi-cache v1 10000\n" + text.split("\n", 1)[1]
+def _torn_aligned(data):
+    head, nl, body = data.partition(b"\n")
+    return head + nl + body[: 8 * (len(body) // 16)]  # cut between entries
 
 
-def _edited(text):
-    return text.replace("\n13\n", "\n17\n", 1)  # same length, still sorted
+def _v1(data):
+    return b"fi-cache v1 10000\n" + data.partition(b"\n")[2]
 
 
-@pytest.mark.parametrize("damage", [_torn, _v1, _edited])
+def _v2(data):
+    """The same table as a well-formed cache in the older v2 text format."""
+    primes = np.frombuffer(data.partition(b"\n")[2], dtype="<i8").tolist()
+    text = "".join(f"{p}\n" for p in primes).encode("ascii")
+    return f"fi-cache v2 10000 {len(primes)} {zlib.crc32(text)}\n".encode("ascii") + text
+
+
+def _edited(data):
+    head, nl, body = data.partition(b"\n")
+    arr = np.frombuffer(body, dtype="<i8").copy()
+    assert arr[1] == 13
+    arr[1] = 17  # same length, still sorted
+    return head + nl + arr.tobytes()
+
+
+@pytest.mark.parametrize("damage", [_torn, _torn_aligned, _v1, _v2, _edited])
 def test_fi_cache_rejects_torn_stale_or_edited(tmp_path, damage):
     full = P.fi_primes_upto(10_000, cache_dir=tmp_path)
     assert len(full) == 346
     path = tmp_path / "fi-primes.txt"
-    path.write_text(damage(path.read_text()))
+    path.write_bytes(damage(path.read_bytes()))
     assert np.array_equal(P.fi_primes_upto(10_000, cache_dir=tmp_path), full)
-    assert path.read_text().splitlines()[0] == cache_header(10_000, full)
+    assert path.read_bytes() == cache_file(10_000, full)
 
 
 def test_fi_cache_extends_limit(tmp_path):
     P.fi_primes_upto(100, cache_dir=tmp_path)
     longer = P.fi_primes_upto(1000, cache_dir=tmp_path)
     assert longer[-1] > 100
-    header = (tmp_path / "fi-primes.txt").read_text().splitlines()[0]
-    assert header == cache_header(1000, longer)
+    assert (tmp_path / "fi-primes.txt").read_bytes() == cache_file(1000, longer)
     assert [f.name for f in tmp_path.iterdir()] == ["fi-primes.txt"]  # no temp file left
