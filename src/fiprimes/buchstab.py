@@ -189,10 +189,14 @@ def buchstab_identity_scan(limit: int, z: float, w: float) -> int:
     """Number of n <= limit violating the identity (0 expected); bulk version.
 
     The right side is summed as integers, so a cofactor counted twice shows
-    up as a violation rather than being absorbed by a boolean or.
+    up as a violation rather than being absorbed by a boolean or.  Raises
+    CapacityError, before allocating, when its 10 (limit + 1) bytes exceed
+    the table budget: lhs, the int64 rhs and rough_mask(limit, w) before
+    its cast (later masks are shorter, and += casts them in buffers).
     """
     if not z < w:
         raise ValueError("need z < w")
+    check_bytes(10 * (limit + 1), f"Buchstab identity scan to {limit}")
     lhs = rough_mask(limit, z)
     rhs = rough_mask(limit, w).astype(np.int64)
     for p in primes_upto(min(int(w), limit)).tolist():

@@ -13,8 +13,10 @@ violated).  ``enumerate`` and ``verify-ternary`` cache the FI-prime table in
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,14 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write non-empty lines to stdout, joined in batches: as fast as one
+    join, with memory bounded by a batch instead of the whole output."""
+    it = iter(lines)
+    while batch := "".join(itertools.islice(it, 1 << 16)):
+        sys.stdout.write(batch)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -262,36 +272,30 @@ def _dispatch(args) -> int:
 
     if cmd == "verify-ternary":
         from .primes import fi_primes_upto
-        from .ternary import _fi_bitmap, _smallest_witness, scan_exceptions
+        from .ternary import scan_exceptions, smallest_witnesses
 
         fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir)
-        exceptions = set(int(v) for v in scan_exceptions(args.limit, fi=fi))
-        # one bitmap for the whole run; each x gets find_representation's witness
-        in_fi = None if args.exceptions_only else _fi_bitmap(fi, args.limit)
-        rows = []
-        for x in range(3, args.limit + 1, 4):
-            if x in exceptions:
-                rows.append({"x": x, "status": "exception"})
-            elif not args.exceptions_only:
-                wit = _smallest_witness(x, fi, in_fi)
-                rows.append({"x": x, "p1": wit.p1, "p2": wit.p2, "p3": wit.p3})
+        if args.exceptions_only:
+            exceptions = scan_exceptions(args.limit, fi=fi).tolist()
+            rows = [(x, 0, 0) for x in exceptions]
+        else:
+            p1, p2 = smallest_witnesses(args.limit, fi=fi)
+            exceptions = (4 * np.flatnonzero(p1 == 0) + 3).tolist()
+            rows = zip(range(3, args.limit + 1, 4), p1.tolist(), p2.tolist())
+        # p1 = 0 marks an exception; p3 = x - p1 - p2
         if args.csv:
             print("x,p1,p2,p3")
-            for r in rows:
-                if "status" in r:
-                    print(f"{r['x']},,,exception")
-                else:
-                    print(f"{r['x']},{r['p1']},{r['p2']},{r['p3']}")
+            _write_lines(f"{x},{a},{b},{x - a - b}\n" if a else f"{x},,,exception\n"
+                         for x, a, b in rows)
         elif args.json:
-            print(json.dumps({"schema": SCHEMA, "limit": args.limit,
-                              "exceptions": sorted(exceptions), "rows": rows}))
+            print(json.dumps({"schema": SCHEMA, "limit": args.limit, "exceptions": exceptions,
+                              "rows": [{"x": x, "p1": a, "p2": b, "p3": x - a - b} if a
+                                       else {"x": x, "status": "exception"}
+                                       for x, a, b in rows]}))
         else:
-            for r in rows:
-                if "status" in r:
-                    print(f"{r['x']}: exception")
-                else:
-                    print(f"{r['x']} = {r['p1']} + {r['p2']} + {r['p3']}")
-            print(f"# exceptions <= {args.limit}: {sorted(exceptions)}")
+            _write_lines(f"{x} = {a} + {b} + {x - a - b}\n" if a else f"{x}: exception\n"
+                         for x, a, b in rows)
+            print(f"# exceptions <= {args.limit}: {exceptions}")
         return 0
 
     if cmd == "3ap":

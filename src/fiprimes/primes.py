@@ -347,6 +347,11 @@ def fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> list[FiDeco
     with l^2 >= n.  As in ``fi_pairs`` it defaults to the primes, so the
     result is the FI decompositions of n sorted by l.
     """
+    return list(_iter_fi_decompositions(n, ls))
+
+
+def _iter_fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> Iterator[FiDecomposition]:
+    """The loop behind ``fi_decompositions``, lazily, so a caller can stop at the first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if ls is None:
@@ -354,22 +359,20 @@ def fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> list[FiDeco
         # roots of many n share a few cached tables; rem < 1 ends the loop
         # there.  tolist() costs less than one int() per visited l.
         ls = primes_upto(1 << (math.isqrt(n - 1) - 1).bit_length()).tolist()
-    out: list[FiDecomposition] = []
     for l in ls:
         rem = n - l * l
         if rem < 1:
-            break
+            return
         k = math.isqrt(rem)
         if k * k == rem:
-            out.append(FiDecomposition(k=k, l=l))
-    return out
+            yield FiDecomposition(k=k, l=l)
 
 
 def is_fi_prime(p: int) -> bool:
     """True iff p is prime and has a representation k^2 + l^2, l prime, k >= 1."""
     if p < 5 or not is_prime_int(p):
         return False
-    return bool(fi_decompositions(p))
+    return next(_iter_fi_decompositions(p), None) is not None
 
 
 def lambda_lambda(n: int) -> float:

@@ -126,6 +126,15 @@ def test_rough_mask_over_the_byte_budget_raises_before_allocating(monkeypatch, f
         B.rough_count(10**10, 1000)
 
 
+def test_identity_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # lhs, the int64 rhs and one mask: 10 (limit + 1) bytes
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 10_000)
+    assert B.buchstab_identity_scan(999, 3, 50) == 0
+    forbid_alloc()
+    with pytest.raises(primes.CapacityError):
+        B.buchstab_identity_scan(1000, 3, 50)  # rough_mask's 1001 bytes would pass
+
+
 def test_rough_count_examples():
     rc = B.rough_count(100, 10)
     assert rc.exact == 22

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -96,6 +97,23 @@ def test_verify_ternary_rows_match_find_representation(capsys):
             assert r == {"x": r["x"], "status": "exception"}
         else:
             assert r == {"x": wit.x, "p1": wit.p1, "p2": wit.p2, "p3": wit.p3}
+
+
+def test_verify_ternary_output_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify-ternary", "--limit", "100000", "--json")
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == "64038fbf5c23b8e4eeb03f9d1099f724fd0d87a6"
+
+
+def test_verify_ternary_over_the_byte_budget_exits_1(capsys, monkeypatch):
+    from fiprimes import primes
+
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 10**5)
+    code, out, err = run_cli(capsys, "verify-ternary", "--limit", "20000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ternary scan to 20000 needs ")
+    assert "Traceback" not in err
 
 
 def test_enumerate_text(capsys):

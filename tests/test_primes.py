@@ -104,6 +104,12 @@ def test_fi_decompositions_bruteforce():
         assert got == expected, n
 
 
+def test_is_fi_prime_against_decompositions():
+    primes = set(P.primes_upto(2 * 10**5).tolist())
+    for n in range(2 * 10**5):
+        assert P.is_fi_prime(n) == (n in primes and bool(P.fi_decompositions(n))), n
+
+
 def test_fi_decompositions_over_all_integers():
     for n in range(1, 2001):
         roots = range(1, math.isqrt(n) + 1)

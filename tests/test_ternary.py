@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fiprimes import ternary as T
+from fiprimes import primes as P, ternary as T
 from fiprimes.primes import fi_primes_upto
 
 
@@ -80,6 +80,54 @@ def test_exceptions_against_triple_loop():
     for X in [*range(3, 121), X_max]:
         expected = [x for x in range(3, X + 1, 4) if x not in representable]
         assert list(T.scan_exceptions(X)) == expected, X
+
+
+def test_find_representation_against_nested_loops():
+    # smallest p1, then smallest p2, from plain Python sets
+    X = 3000
+    fi = [int(p) for p in fi_primes_upto(X)]
+    in_fi = set(fi)
+    for x in range(3, X + 1):
+        expected = None
+        for p1 in fi:
+            if 3 * p1 > x or expected:
+                break
+            for p2 in fi:
+                if 2 * p2 > x - p1:
+                    break
+                if p2 >= p1 and x - p1 - p2 in in_fi:
+                    expected = (p1, p2, x - p1 - p2)
+                    break
+        w = T.find_representation(x)
+        assert (w and (w.p1, w.p2, w.p3)) == expected, x
+
+
+def test_swept_witnesses_match_per_x_search():
+    X = 2 * 10**4
+    fi = fi_primes_upto(X)
+    p1, p2 = T.smallest_witnesses(X, fi=fi)
+    assert len(p1) == len(p2) == (X - 3) // 4 + 1
+    for m, (a, b) in enumerate(zip(p1.tolist(), p2.tolist())):
+        x = 4 * m + 3
+        w = T._smallest_witness(x, fi)
+        assert (w.p1, w.p2) == (a, b) if w else a == b == 0, x
+    assert list(4 * np.flatnonzero(p1 == 0) + 3) == list(T.scan_exceptions(X, fi=fi))
+
+
+def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # 2 (M + 1) + max(32 size, 80 (M + 1)) bytes with M = (X - 3) // 4: X = 1023
+    # has M = 255 and size = 512, X = 1027 has M = 256 and size = 1024
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 2 * 256 + 80 * 256)
+    assert list(T.scan_exceptions(1023)) == [3, 7, 11, 19, 27, 35, 43]
+    T.smallest_witnesses(1023)
+    with pytest.raises(P.CapacityError):
+        T.scan_exceptions(1027)
+    with pytest.raises(P.CapacityError):
+        T.smallest_witnesses(1027)
+    monkeypatch.undo()
+    forbid_alloc()
+    with pytest.raises(P.CapacityError):
+        T.scan_exceptions(10**10)
 
 
 def test_3ap_examples():
