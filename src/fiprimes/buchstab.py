@@ -7,8 +7,10 @@ B(u) = 0 below 1 and B(u) = 1/u on [1, 2].  Equivalently, on each interval
     B(u) = (k B(k) + integral_k^u B(v - 1) dv) / u,
 
 which gives the closed form (1 + log(u - 1))/u on [2, 3] and is continued
-numerically beyond 3 on a fixed grid.  Everywhere 0 <= B(u) <= 1, and
-B(u) <= (1 + log 2)/3 once u >= 3.
+numerically beyond 3 on one shared, read-only grid table, first built to
+u = 10 and rebuilt to ceil(u) + 1 for a u past its end (a longer table has
+the shorter as its prefix, so no value changes).  Everywhere
+0 <= B(u) <= 1, and B(u) <= (1 + log 2)/3 once u >= 3.
 
 An integer is z-rough when all its prime factors exceed z (so 1 is rough
 vacuously, indicator rho(n, z)).  Counts of z-rough n <= T are predicted by
@@ -19,8 +21,7 @@ combinatorial identity rho(n, z) = rho(n, w) + sum_{z < p <= w} rho(n/p, p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,69 +40,79 @@ def _closed_form(u: float) -> float:
     return (1.0 + math.log(u - 1.0)) / u
 
 
-@dataclass
-class BuchstabInterpolant:
-    """Grid continuation of B(u) on [3, u_max] with step ``h``."""
-
-    u_max: float = 10.0
-    h: float = 1e-4
-    values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.u_max < 3.0:
-            raise ValueError("u_max must be >= 3")
-        n = int(round((self.u_max - 3.0) / self.h))
-        self.u_max = 3.0 + n * self.h
-        vals = np.zeros(n + 1)
-        vals[0] = _closed_form(3.0)
-        # integrate (u B(u))' = B(u-1) with the trapezoid rule; grid knots
-        # sit exactly on the integer kinks, so each panel is smooth
-        g_prev = self._lookup_shifted(3.0, vals)
-        acc = 3.0 * vals[0]
-        for j in range(1, n + 1):
-            u = 3.0 + j * self.h
-            g_cur = self._lookup_shifted(u, vals)
-            acc += 0.5 * self.h * (g_prev + g_cur)
-            vals[j] = acc / u
-            g_prev = g_cur
-        self.values = vals
-
-    def _lookup_shifted(self, u: float, vals: np.ndarray) -> float:
-        v = u - 1.0
-        if v < 3.0 - 1e-12:
-            return _closed_form(v)
-        j = (v - 3.0) / self.h
-        idx = int(round(j))
-        if abs(j - idx) < 1e-9:
-            return float(vals[idx])
-        lo = int(math.floor(j))
-        t = j - lo
-        return float((1.0 - t) * vals[lo] + t * vals[lo + 1])
-
-    def eval(self, u: float) -> float:
-        if u < 3.0:
-            return _closed_form(u)
-        if u > self.u_max + 1e-12:
-            raise ValueError(f"u={u} beyond u_max={self.u_max}; build a larger table")
-        j = (min(u, self.u_max) - 3.0) / self.h
-        lo = min(int(math.floor(j)), len(self.values) - 2)
-        t = j - lo
-        return float((1.0 - t) * self.values[lo] + t * self.values[lo + 1])
+# B on the grid 3 + j H; the knots fall on the integer kinks of B
+H = 1e-4
+_STEPS = 10_000  # knots per unit of u
+_BLOCK = 1_000  # knots per block of the march, a divisor of _STEPS; small blocks keep temporaries small
+_values: Optional[np.ndarray] = None
 
 
-@lru_cache(maxsize=4)
-def default_interpolant(u_max: float = 10.0, h: float = 1e-4) -> BuchstabInterpolant:
-    return BuchstabInterpolant(u_max=u_max, h=h)
+def _march(u_end: int) -> np.ndarray:
+    """Read-only B on [3, u_end]: the trapezoid rule for (u B(u))' = B(u - 1).
+
+    Block by block, B(u - 1) comes from the closed forms on [3, 4] and from
+    the table one unit back after that; the running integral is carried
+    through cumsum, which adds in order like a loop.
+    """
+    n = (u_end - 3) * _STEPS + 1
+    check_bytes(8 * n, f"Buchstab table to u = {u_end}")
+    vals = np.empty(n)
+    vals[0] = _closed_form(3.0)
+    acc = 3.0 * vals[0]
+    for start in range(0, n - 1, _BLOCK):
+        j = np.arange(start, start + _BLOCK + 1)
+        u = 3.0 + j * H
+        g = vals[j - _STEPS] if start >= _STEPS else np.array([_closed_form(v) for v in (u - 1.0).tolist()])
+        sums = np.cumsum(np.concatenate(([acc], 0.5 * H * (g[:-1] + g[1:]))))
+        vals[j[1:]] = sums[1:] / u[1:]
+        acc = sums[-1]
+    vals.flags.writeable = False
+    return vals
 
 
-def buchstab_B(u: float, interpolant: Optional[BuchstabInterpolant] = None) -> float:
-    """B(u): exact piecewise forms below 3, grid continuation beyond."""
+def _table(u: float) -> np.ndarray:
+    """The shared table, built to u = 10 and rebuilt to ceil(u) + 1 for a u past its end."""
+    global _values
+    if _values is None or u > 3.0 + (len(_values) - 1) * H:
+        _values = _march(10 if u <= 10.0 else math.ceil(u) + 1)
+    return _values
+
+
+def default_interpolant() -> None:
+    """Build the shared table (to u = 10) ahead of the first B(u) call."""
+    _table(3.0)
+
+
+def buchstab_B(u: float | np.ndarray) -> float | np.ndarray:
+    """B(u) for a float or an ndarray: closed forms below 3, the shared table beyond.
+
+    Raises CapacityError when the table that u needs exceeds the byte budget.
+    """
+    if isinstance(u, np.ndarray):
+        if not np.isfinite(u).all():
+            raise ValueError("u must be finite")
+        out = np.zeros_like(u, dtype=float)
+        band1 = (u >= 1.0) & (u <= 2.0)
+        out[band1] = 1.0 / u[band1]
+        band2 = (u > 2.0) & (u < 3.0)
+        out[band2] = (1.0 + np.log(u[band2] - 1.0)) / u[band2]
+        high = u >= 3.0
+        if high.any():
+            vals = _table(float(u[high].max()))
+            j = (u[high] - 3.0) / H
+            lo = np.minimum(np.floor(j).astype(np.intp), len(vals) - 2)
+            t = j - lo
+            out[high] = (1.0 - t) * vals[lo] + t * vals[lo + 1]
+        return out
     if not math.isfinite(u):
         raise ValueError("u must be finite")
     if u < 3.0:
         return _closed_form(u)
-    interp = interpolant or default_interpolant()
-    return interp.eval(u)
+    vals = _table(u)
+    j = (u - 3.0) / H
+    lo = min(int(math.floor(j)), len(vals) - 2)
+    t = j - lo
+    return float((1.0 - t) * vals[lo] + t * vals[lo + 1])
 
 
 def rough_indicator(n: int, z: float) -> int:
@@ -153,13 +164,12 @@ def rough_count(T: int, z: float) -> RoughCount:
 
     log_z = math.log(z)
     u_top = math.log(T) / log_z
-    interp = default_interpolant() if u_top <= 10.0 else default_interpolant(u_max=math.ceil(u_top) + 1.0)
     predicted = 0.0
     lo = 1.0
     while lo < u_top - 1e-12:
         hi = min(math.floor(lo + 1.0), u_top)
         val, _ = adaptive_simpson(
-            lambda u: buchstab_B(u, interp) * math.exp(u * log_z), lo, hi, tol=1e-9 * T
+            lambda u: buchstab_B(u) * math.exp(u * log_z), lo, hi, tol=1e-9 * T
         )
         predicted += val
         lo = hi

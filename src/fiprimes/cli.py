@@ -288,10 +288,13 @@ def _dispatch(args) -> int:
             _write_lines(f"{x},{a},{b},{x - a - b}\n" if a else f"{x},,,exception\n"
                          for x, a, b in rows)
         elif args.json:
-            print(json.dumps({"schema": SCHEMA, "limit": args.limit, "exceptions": exceptions,
-                              "rows": [{"x": x, "p1": a, "p2": b, "p3": x - a - b} if a
-                                       else {"x": x, "status": "exception"}
-                                       for x, a, b in rows]}))
+            # the rows are streamed, formatted as json.dumps formats them
+            head = json.dumps({"schema": SCHEMA, "limit": args.limit, "exceptions": exceptions})
+            body = (f'{{"x": {x}, "p1": {a}, "p2": {b}, "p3": {x - a - b}}}' if a
+                    else f'{{"x": {x}, "status": "exception"}}' for x, a, b in rows)
+            sys.stdout.write(f'{head[:-1]}, "rows": [{next(body, "")}')
+            _write_lines(", " + row for row in body)
+            print("]}")
         else:
             _write_lines(f"{x} = {a} + {b} + {x - a - b}\n" if a else f"{x}: exception\n"
                          for x, a, b in rows)

@@ -8,6 +8,9 @@ With xi = 0.265, xi1 = 0.183, delta0 = 1e-7 and a = 2/3 - 2 delta0:
              B((1 - b1 - b2 - b3)/b1) / (b1^2 b2 b3)
 
 and alpha_plus = c1 + c2 + c3 < 2.9739, comfortably below 3 * 0.999.
+B is ``buchstab.buchstab_B``, evaluated on whole midpoint grids; its
+argument reaches 3, where the Buchstab table takes over from the closed
+forms, only for xi1 <= 1/6.
 
 The printed form of the c1 integrand elsewhere reads (log t - 1)/t; the
 linear-sieve function F(s) on [3, 5] requires log(t-1)/t, which is what is
@@ -19,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .buchstab import BuchstabInterpolant
+from .buchstab import buchstab_B
 from .quadrature import adaptive_simpson
 
 ALPHA_MINUS = 0.999
@@ -71,25 +73,7 @@ def c2_bound(
     return QuadratureResult(value=-integral, error_estimate=err, grid=0)
 
 
-def _buchstab_vec(u: np.ndarray, interp: Optional[BuchstabInterpolant]) -> np.ndarray:
-    """Vectorised B(u): closed forms below 3, grid interpolation beyond."""
-    out = np.zeros_like(u)
-    band1 = (u >= 1.0) & (u <= 2.0)
-    out[band1] = 1.0 / u[band1]
-    band2 = (u > 2.0) & (u < 3.0)
-    out[band2] = (1.0 + np.log(u[band2] - 1.0)) / u[band2]
-    high = u >= 3.0
-    if np.any(high):
-        if interp is None:
-            raise ValueError("argument reached 3; supply a grid interpolant")
-        xs = 3.0 + interp.h * np.arange(len(interp.values))
-        out[high] = np.interp(u[high], xs, interp.values)
-    return out
-
-
-def _c3_midpoint(
-    xi1: float, xi: float, n: int, interp: Optional[BuchstabInterpolant]
-) -> float:
+def _c3_midpoint(xi1: float, xi: float, n: int) -> float:
     """Masked midpoint rule over the ordered box xi1 <= b1 <= b2 <= b3 <= xi."""
     h = (xi - xi1) / n
     mids = xi1 + (np.arange(n) + 0.5) * h
@@ -101,7 +85,7 @@ def _c3_midpoint(
         mask = b2 <= b3
         u = (1.0 - b1 - b2 - b3) / b1
         vals = np.where(mask, 1.0, 0.0)
-        vals *= _buchstab_vec(u, interp) / (b1 * b1 * b2 * b3)
+        vals *= buchstab_B(u) / (b1 * b1 * b2 * b3)
         total += float(vals.sum())
     return total * h**3
 
@@ -117,24 +101,18 @@ def c3_bound(
     """Triple integral over the ordered simplex, midpoint + Richardson.
 
     The integrand argument stays below (1 - 3 xi1)/xi1 < 3 at the standard
-    parameters, so closed forms of B suffice; past u = 3 a Buchstab grid
-    interpolant covering the region is built.
+    parameters, so closed forms of B suffice; for xi1 <= 1/6 it reaches 3
+    and B comes from the shared Buchstab table.
     """
     if not xi1 < xi:
         raise ValueError("need xi1 < xi")
-    u_top = (1.0 - 3.0 * xi1) / xi1
-    interpolant = None
-    if u_top >= 3.0:
-        from .buchstab import default_interpolant
-
-        interpolant = default_interpolant(u_max=float(math.ceil(u_top) + 1))
     scale = 2.0 / (1.0 - 2.0 * delta0)
     n = start_grid
-    raw_prev = _c3_midpoint(xi1, xi, n, interpolant)
+    raw_prev = _c3_midpoint(xi1, xi, n)
     rich_prev = None
     while n < max_grid:
         n *= 2
-        raw = _c3_midpoint(xi1, xi, n, interpolant)
+        raw = _c3_midpoint(xi1, xi, n)
         rich = 2.0 * raw - raw_prev
         if rich_prev is not None and abs(rich - rich_prev) < tol:
             return QuadratureResult(

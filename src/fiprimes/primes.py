@@ -167,7 +167,7 @@ def is_prime_int(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -175,7 +175,9 @@ def is_prime_int(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    # the smallest strong pseudoprimes to bases (2, 3, 5) and (2, 3, 5, 7)
+    k = 3 if n < 25_326_001 else 4 if n < 3_215_031_751 else len(_MR_WITNESSES)
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

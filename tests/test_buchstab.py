@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -44,10 +45,23 @@ def test_limit_value():
     assert B.buchstab_B(10.0) == pytest.approx(math.exp(-0.5772156649015329), abs=1e-4)
 
 
-def test_beyond_table_raises():
-    interp = B.BuchstabInterpolant(u_max=5.0, h=1e-3)
-    with pytest.raises(ValueError):
-        interp.eval(7.0)
+def test_table_past_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # 8 bytes per grid point; a fresh table to u = 10 has 70,001 of them
+    monkeypatch.setattr(B, "_values", None)
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 8 * 70_001)
+    assert B.buchstab_B(10.0) == pytest.approx(0.5614594835, abs=1e-9)
+    forbid_alloc()
+    monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated before the check"))
+    for u in (10.5, 1e300):
+        with pytest.raises(primes.CapacityError):
+            B.buchstab_B(u)
+        with pytest.raises(primes.CapacityError):
+            B.buchstab_B(np.array([2.0, u]))
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            B.buchstab_B(u)
+        with pytest.raises(ValueError):
+            B.buchstab_B(np.array([5.0, u]))
 
 
 def test_derivative_relation():
@@ -55,9 +69,9 @@ def test_derivative_relation():
     # are compared at the O(1) scale of B itself
     rng = np.random.default_rng(17)
     pts = []
-    while len(pts) < 100:
-        u = float(rng.uniform(2.05, 5.95))
-        if min(abs(u - k) for k in range(2, 7)) > 0.03:
+    while len(pts) < 200:
+        u = float(rng.uniform(2.05, 29.95))
+        if min(abs(u - k) for k in range(2, 31)) > 0.03:
             pts.append(u)
     h = 1e-3
     for u in pts:
@@ -79,11 +93,47 @@ def test_derivative_bound():
         assert abs(d) <= bound * (1 + 1e-6), t
 
 
-def test_grid_halving():
-    coarse = B.BuchstabInterpolant(u_max=6.0, h=2e-4)
-    fine = B.BuchstabInterpolant(u_max=6.0, h=1e-4)
-    for u in np.linspace(3.0, 6.0, 301):
-        assert abs(coarse.eval(float(u)) - fine.eval(float(u))) < 1e-6
+def test_table_against_recursion_on_3_4():
+    # independent oracle: integrate the recursion from k = 3 with the
+    # closed form on [2, 3] under the integral
+    b3 = B.buchstab_B(3.0)
+    for u in np.linspace(3.0, 4.0, 41)[1:]:
+        val, _ = adaptive_simpson(lambda v: (1.0 + math.log(v - 2.0)) / (v - 1.0), 3.0, u, 1e-13)
+        assert abs(B.buchstab_B(float(u)) - (3.0 * b3 + val) / u) < 1e-8, u
+
+
+def test_table_is_pinned_and_read_only():
+    # sha1 of the first 70,001 knots, as the scalar trapezoid loop built them
+    B.default_interpolant()
+    vals = B._table(10.0)
+    assert hashlib.sha1(vals[:70_001].tobytes()).hexdigest() == "7e4abe375ca6abfd8cddd4339b17f7455b8a563b"
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+
+
+def test_values_past_10_are_pinned():
+    # pinned values past the first table's end at 10
+    assert B.buchstab_B(12.0) == 0.5614594835169276
+    assert B.buchstab_B(20.5) == 0.5614594835150969
+    assert B.buchstab_B(31.0) == 0.5614594835148597
+    # growing the table kept every earlier value
+    grown = B._table(31.0)
+    assert len(grown) >= 280_001
+    assert np.array_equal(grown[:70_001], B._march(10))
+
+
+def test_array_form_matches_scalar_form():
+    us = np.concatenate([np.random.default_rng(5).uniform(-1.0, 31.0, 4998),
+                         [0.0, 1.0, 2.0, 3.0, 4.0, 10.0, 31.0]]).reshape(-1, 7)
+    arr = B.buchstab_B(us)
+    assert arr.shape == us.shape
+    for u, a in zip(us.ravel().tolist(), arr.ravel().tolist()):
+        s = B.buchstab_B(u)
+        if u >= 3.0:
+            assert a == s, u
+        else:
+            assert abs(a - s) <= 2 * math.ulp(s), u
 
 
 def test_rough_indicator():

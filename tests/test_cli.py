@@ -105,6 +105,20 @@ def test_verify_ternary_output_pinned(capsys):
     assert hashlib.sha1(out.encode()).hexdigest() == "64038fbf5c23b8e4eeb03f9d1099f724fd0d87a6"
 
 
+@pytest.mark.parametrize("argv, sha1", [
+    ("buchstab --u 5 --json", "ce0e20631dfd07fe254d13caab44be52c6bd8ecd"),
+    ("buchstab --u 9.87654 --json", "66d66708317899c9e4eea47f783cfae60133c4a8"),
+    ("rough --limit 1000000 --z 1000 --json", "a61cde64a69f98f2caa556e2ba7facde46f39645"),
+    # u reaches log2(1e6) = 19.9, past the first Buchstab table's end at 10
+    ("rough --limit 1000000 --z 2 --json", "a58cbc251ab6013bab74c2847e9679121240017b"),
+    ("constants --json", "610dbfbac667c8f1f2a34d5ca3fef6a272860935"),
+])
+def test_buchstab_and_constants_output_pinned(argv, sha1, capsys):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 def test_verify_ternary_over_the_byte_budget_exits_1(capsys, monkeypatch):
     from fiprimes import primes
 
@@ -168,6 +182,9 @@ def test_buchstab_command(capsys):
     code, out, _ = run_cli(capsys, "buchstab", "--u", "1.5", "--json")
     assert code == 0
     assert json.loads(out)["B"] == pytest.approx(2.0 / 3.0)
+    code, out, _ = run_cli(capsys, "buchstab", "--u", "12", "--json")
+    assert code == 0
+    assert json.loads(out)["B"] == 0.5614594835169276
 
 
 def test_lattice_command(capsys):

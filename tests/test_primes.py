@@ -79,6 +79,22 @@ def test_sieve_range_against_trial_division(rng):
             assert table.contains(int(n)) == P.is_prime_int(int(n))
 
 
+def test_is_prime_int_against_sieve():
+    is_p = P.simple_sieve(10**6)
+    assert [P.is_prime_int(n) for n in range(10**6 + 1)] == is_p.tolist()
+
+
+def test_is_prime_int_at_the_witness_prefix_bounds():
+    # the smallest strong pseudoprimes to bases {2, 3, 5} and {2, 3, 5, 7}:
+    # a prefix used one step past its bound would call them prime
+    assert not P.is_prime_int(25_326_001)
+    assert not P.is_prime_int(3_215_031_751)
+    for bound in (25_326_001, 3_215_031_751):
+        table = P.sieve_range(bound - 1000, bound + 1000)
+        for n in range(bound - 999, bound + 1001):
+            assert P.is_prime_int(n) == table.contains(n), n
+
+
 def test_sieve_range_capacity():
     with pytest.raises(P.CapacityError):
         P.sieve_range(0, 10**9, max_segment=10**6)
