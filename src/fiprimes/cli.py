@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import sys
+import time
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -363,11 +364,16 @@ def _dispatch_expsum(args) -> int:
         from .lattice import lattice_new
 
         lat = lattice_new(GaussianInt(1, 1), 2, GaussianInt(1, 3), 2)
-        res = E.type2_lattice_sum(float(gamma), lat, args.N, 2 * args.N)
-        payload = {"value_re": res.value.real, "value_im": res.value.imag,
-                   "bound": None, "ratio": None}
-        lines = [f"lattice sum = {res.value.real:.6f} + {res.value.imag:.6f} i "
-                 f"(basis {res.time_basis * 1e3:.2f} ms, direct {res.time_direct * 1e3:.2f} ms)"]
+        t0 = time.perf_counter()
+        v = E.type2_lattice_sum(float(gamma), lat, args.N, 2 * args.N).value
+        t1 = time.perf_counter()
+        direct = E.type2_lattice_sum_bruteforce(float(gamma), lat, args.N, 2 * args.N)
+        t2 = time.perf_counter()
+        if v != direct:
+            raise AssertionError(f"basis walk {v} disagrees with the direct filter {direct}")
+        payload = {"value_re": v.real, "value_im": v.imag, "bound": None, "ratio": None}
+        lines = [f"lattice sum = {v.real:.6f} + {v.imag:.6f} i "
+                 f"(basis {(t1 - t0) * 1e3:.2f} ms, direct {(t2 - t1) * 1e3:.2f} ms)"]
     elif args.kind == "dfi":
         c = np.zeros(args.x + 1, dtype=np.complex128)
         c[1:] = 1.0

@@ -138,13 +138,8 @@ class AlphaPlusResult:
         return 3.0 * ALPHA_MINUS - self.value
 
 
-def alpha_plus(
-    xi1: float = 0.183,
-    xi: float = 0.265,
-    delta0: float = 1e-7,
-    check_bands: bool = True,
-) -> AlphaPlusResult:
-    """c1 + c2 + c3 at the given parameters, band-checked by default.
+def alpha_plus(xi1: float = 0.183, xi: float = 0.265, delta0: float = 1e-7) -> AlphaPlusResult:
+    """c1 + c2 + c3 at the given parameters, band-checked.
 
     Raises BandViolation if the total leaves [2.85, 2.9739] or fails to stay
     under 3 * 0.999; either indicates a quadrature or transcription bug.
@@ -153,12 +148,10 @@ def alpha_plus(
     r2 = c2_bound(xi1, xi, delta0)
     r3 = c3_bound(xi1, xi, delta0)
     value = r1.value + r2.value + r3.value
-    result = AlphaPlusResult(c1=r1, c2=r2, c3=r3, value=value)
-    if check_bands:
-        if not value <= ALPHA_PLUS_BOUND:
-            raise BandViolation(f"alpha_plus = {value} > {ALPHA_PLUS_BOUND}")
-        if not value >= ALPHA_PLUS_FLOOR:
-            raise BandViolation(f"alpha_plus = {value} < {ALPHA_PLUS_FLOOR}")
-        if not value < 3.0 * ALPHA_MINUS:
-            raise BandViolation(f"alpha_plus = {value} >= 3 * {ALPHA_MINUS}")
-    return result
+    if not value <= ALPHA_PLUS_BOUND:
+        raise BandViolation(f"alpha_plus = {value} > {ALPHA_PLUS_BOUND}")
+    if not value >= ALPHA_PLUS_FLOOR:
+        raise BandViolation(f"alpha_plus = {value} < {ALPHA_PLUS_FLOOR}")
+    if not value < 3.0 * ALPHA_MINUS:
+        raise BandViolation(f"alpha_plus = {value} >= 3 * {ALPHA_MINUS}")
+    return AlphaPlusResult(c1=r1, c2=r2, c3=r3, value=value)

@@ -16,12 +16,14 @@ prime, so e.g. 13 = 2^2 + 3^2 = 3^2 + 2^2 contributes both (k,l) = (2,3) and
 against H x is the calibrated pair-convention multiplier (a sum over k of
 both signs would give H x).
 
-Every prime table comes from one segmented sieve of Eratosthenes over odd
-numbers only (the design of primesieve and of Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 83, 2014).  It indexes the odd number 2i + 1 by i and
-marks odd composites in one fixed-size segment buffer at a time, starting
-each base prime at its first odd multiple in the segment.  ``simple_sieve``
-and ``sieve_range`` both run on it and add the single even prime 2 by hand.
+Every prime table comes from ``simple_sieve``, one segmented sieve of
+Eratosthenes over odd numbers only (the design of primesieve and of Oliveira
+e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  It indexes the odd number
+2i + 1 by i and marks odd composites in one fixed-size segment buffer at a
+time, starting each base prime at its first odd multiple in the segment; the
+single even prime 2 is added by hand.  Beyond the tables, ``is_prime_int``
+(deterministic Miller-Rabin) and ``factorize`` (trial division) answer for
+one n at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -43,8 +45,6 @@ class CapacityError(ValueError):
     """A request exceeds the configured memory/size caps."""
 
 
-MAX_SEGMENT = 1 << 27          # largest (lo, hi] window sieve_range accepts
-MAX_BASE = 10**8               # largest allowed sqrt(hi)
 MAX_COUNT_X = 2 * 10**9        # cap for fi_weighted_count
 MAX_TABLE_BYTES = 2 * 10**9    # budget for the arrays of one bulk table
 
@@ -92,7 +92,7 @@ def simple_sieve(limit: int) -> np.ndarray:
     if limit < 0:
         raise ValueError("limit must be >= 0")
     is_prime = np.zeros(limit + 1, dtype=bool)
-    _sieve_odd(is_prime[1::2], 0)
+    _sieve_odd(is_prime[1::2])
     if limit >= 2:
         is_prime[2] = True
     is_prime.setflags(write=False)
@@ -107,37 +107,11 @@ def primes_upto(limit: int) -> np.ndarray:
     return primes
 
 
-@lru_cache(maxsize=8)
-def spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (spf[0] = spf[1] = 0).
-
-    The smallest prime factor of a composite n is some p <= sqrt(n), and
-    p strikes n from p^2 on; striking in descending order of p leaves the
-    smallest such p in place.  A prime is its own smallest factor.
-    """
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in reversed(primes_upto(math.isqrt(limit)).tolist()):
-        spf[p * p :: p] = p
-    primes = primes_upto(limit)
-    spf[primes] = primes
-    spf.setflags(write=False)
-    return spf
-
-
-def factorize(n: int, spf: Optional[np.ndarray] = None) -> list[tuple[int, int]]:
-    """Prime factorization as a sorted list of (p, exponent)."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization as a sorted list of (p, exponent), by trial division."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out: list[tuple[int, int]] = []
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -152,8 +126,8 @@ def factorize(n: int, spf: Optional[np.ndarray] = None) -> list[tuple[int, int]]
     return out
 
 
-def distinct_prime_factors(n: int, spf: Optional[np.ndarray] = None) -> list[int]:
-    return [p for p, _ in factorize(n, spf)]
+def distinct_prime_factors(n: int) -> list[int]:
+    return [p for p, _ in factorize(n)]
 
 
 def euler_phi(n: int) -> int:
@@ -231,69 +205,24 @@ def prime_power_map(x: int) -> dict[int, float]:
 # segmented sieving
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Primality bitset over the half-open interval (lo, hi].
+def _sieve_odd(out: np.ndarray) -> None:
+    """Set out[i] to whether the odd number 2 i + 1 is prime.
 
-    bits[i] corresponds to n = lo + 1 + i.
+    The odd indices are sieved in one reused buffer of ``SEGMENT_BYTES``
+    entries, segment by segment.  The odd multiples of an odd prime p are
+    the indices i = (p - 1) / 2 (mod p), so p strikes a slice of step p from
+    the index of p^2 or, in a segment that starts past p^2, from its first
+    odd multiple there.  That start costs one modulo, no more than carrying
+    it over from the previous segment would, so nothing is carried.  Base
+    primes come in increasing order, so the loop stops at the first one
+    whose square lies beyond the segment.
     """
-
-    lo: int
-    hi: int
-    bits: np.ndarray
-
-    def contains(self, n: int) -> bool:
-        if not (self.lo < n <= self.hi):
-            raise ValueError(f"{n} outside ({self.lo}, {self.hi}]")
-        return bool(self.bits[n - self.lo - 1])
-
-    def primes(self) -> np.ndarray:
-        return np.flatnonzero(self.bits) + self.lo + 1
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-
-def sieve_range(lo: int, hi: int, max_segment: int = MAX_SEGMENT) -> PrimeTable:
-    """Primality bitset for the interval (lo, hi], from the segmented sieve.
-
-    Memory is O(sqrt(hi) + (hi - lo)); a CapacityError is raised when either
-    the window or the base sieve would exceed the configured caps.
-    """
-    if not (0 <= lo < hi):
-        raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
-    if hi - lo > max_segment:
-        raise CapacityError(f"segment length {hi - lo} exceeds cap {max_segment}")
-    root = math.isqrt(hi)
-    if root > MAX_BASE:
-        raise CapacityError(f"base sieve bound {root} exceeds cap {MAX_BASE}")
-    bits = np.zeros(hi - lo, dtype=bool)
-    # bits[i] is n = lo + 1 + i, so the odd n sit at bits[lo & 1 :: 2]
-    first_odd = lo & 1
-    _sieve_odd(bits[first_odd::2], (lo + first_odd) // 2)
-    if lo < 2 <= hi:
-        bits[2 - lo - 1] = True
-    return PrimeTable(lo=lo, hi=hi, bits=bits)
-
-
-def _sieve_odd(out: np.ndarray, first: int) -> None:
-    """Set out[j] to whether the odd number 2 (first + j) + 1 is prime.
-
-    Odd indices [first, first + len(out)) are sieved in one reused buffer of
-    ``SEGMENT_BYTES`` entries, segment by segment.  The odd multiples of an
-    odd prime p are the indices i = (p - 1) / 2 (mod p), so p strikes a slice
-    of step p from the index of p^2 or, in a segment that starts past p^2,
-    from its first odd multiple there.  That start costs one modulo, no more
-    than carrying it over from the previous segment would, so nothing is
-    carried.  Base primes come in increasing order, so the loop stops at the
-    first one whose square lies beyond the segment.
-    """
-    end = first + len(out)
-    if end <= first:
+    end = len(out)
+    if end == 0:
         return
     ps = _odd_primes_upto(math.isqrt(2 * end - 1))
-    seg = np.empty(min(SEGMENT_BYTES, end - first), dtype=bool)
-    for lo in range(first, end, SEGMENT_BYTES):
+    seg = np.empty(min(SEGMENT_BYTES, end), dtype=bool)
+    for lo in range(0, end, SEGMENT_BYTES):
         hi = min(lo + SEGMENT_BYTES, end)
         buf = seg[: hi - lo]
         buf[:] = True
@@ -304,15 +233,14 @@ def _sieve_odd(out: np.ndarray, first: int) -> None:
             if i < lo:
                 i = lo + ((p >> 1) - lo) % p
             buf[i - lo :: p] = False
-        out[lo - first : hi - first] = buf
-    if first == 0:
-        out[0] = False  # 1 is not prime
+        out[lo:hi] = buf
+    out[0] = False  # 1 is not prime
 
 
 def _odd_primes_upto(limit: int) -> list[int]:
     """Odd primes <= limit (limit >= 1), in increasing order: the base primes.
 
-    limit is sqrt of a window's top, so one unsegmented odd-only pass over a
+    limit is sqrt of the sieve's top, so one unsegmented odd-only pass over a
     (limit + 1) / 2-byte bytearray is enough; the odd prime 2i + 1 strikes
     from 2i(i + 1), the index of its square.  A bytearray and no recursion
     keep the fixed per-call cost low, which dominates the many small sieves
@@ -425,13 +353,25 @@ def _prime_power_blocks(x: int) -> Iterator[tuple[int, np.ndarray]]:
         yield l, ns
 
 
-def lambda_lambda_table(x: int) -> np.ndarray:
-    """Array of LL(n) for 0 <= n <= x, built by pair iteration."""
-    inner = np.zeros(x + 1, dtype=np.float64)
+def inner_weight_table(x: int, omega: Callable[[int], float]) -> np.ndarray:
+    """S_omega(m) = sum_{m = k^2 + l^2, k >= 1, l prime} omega(l) for m <= x.
+
+    Each block adds omega(l) in increasing l, so the entries are the sums in
+    the order of ``fi_decompositions``.
+    """
+    table = np.zeros(x + 1, dtype=np.float64)
     for l, ns in fi_pairs(x):
-        inner[ns] += math.log(l)
-    inner *= mangoldt_table(x)
-    return inner
+        w = omega(l)
+        if w != 0.0:
+            table[ns] += w
+    return table
+
+
+def lambda_lambda_table(x: int) -> np.ndarray:
+    """Array of LL(n) for 0 <= n <= x: the inner weights log l times Lambda(n)."""
+    table = inner_weight_table(x, math.log)
+    table *= mangoldt_table(x)
+    return table
 
 
 @dataclass(frozen=True)

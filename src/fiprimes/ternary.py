@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -228,15 +228,11 @@ def scan_exceptions_direct(X: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def find_3aps(
-    X: int, subset_filter: Optional[Callable[[int], bool]] = None
-) -> list[tuple[int, int, int]]:
+def find_3aps(X: int) -> list[tuple[int, int, int]]:
     """All 3-term APs (p, p + d, p + 2d), d > 0, inside the FI primes <= X."""
     if X < 5:
         raise ValueError("X must be >= 5")
     fi = fi_primes_upto(X)
-    if subset_filter is not None:
-        fi = np.array([p for p in fi if subset_filter(int(p))], dtype=np.int64)
     in_set = np.zeros(2 * X + 1, dtype=bool)
     in_set[fi] = True
     out: list[tuple[int, int, int]] = []
@@ -279,26 +275,15 @@ class WTrickedSequence:
         return float(self.values[1:].sum() / self.N)
 
 
-def wtrick_build(
-    x: int,
-    b: int,
-    w_override: Optional[float] = None,
-    W_override: Optional[int] = None,
-) -> WTrickedSequence:
+def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTrickedSequence:
     """Normalised W-tricked LL sequence on the class b mod W.
 
     values(n) = phi(W) / (Xi(W, b) W R H) * LL(W n + b) for n <= N = x // W,
     where R is the calibrated pair-convention multiplier of LL against H x
     (1/2 here); with it the empirical mean tends to 1.  Admissibility:
-    gcd(b, W) = 1 and b = 1 (4).  W_override forces an explicit even modulus
-    (for probing classes outside the 2 prod_{p <= w} p family).
+    gcd(b, W) = 1 and b = 1 (4).
     """
-    if W_override is not None:
-        if W_override < 2 or W_override % 2:
-            raise ValueError("W_override must be even and >= 2")
-        w, W = float("nan"), W_override
-    else:
-        w, W = w_from_threshold(x, w_override)
+    w, W = w_from_threshold(x, w_override)
     if not (1 <= b <= W):
         raise ValueError("need 1 <= b <= W")
     if math.gcd(b, W) != 1 or b % 4 != 1:

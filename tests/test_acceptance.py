@@ -27,14 +27,14 @@ from fiprimes import sieve as S
 from fiprimes import ternary as T
 from fiprimes.gaussian import GaussianInt
 from fiprimes.primes import (
-    distinct_prime_factors,
     euler_phi,
     factorize,
     fi_weighted_count,
     lambda_lambda_table,
-    spf_table,
 )
 from fiprimes.quadrature import adaptive_simpson
+
+from conftest import spf_factorize, spf_table
 
 
 _REPORT_PATH = os.environ.get("FI_ACCEPTANCE_REPORT")
@@ -183,7 +183,7 @@ def test_criterion_5_sandwich_and_pan():
             p = S.MajorantParams(x=x)
             bound = max(p.z1, p.z0)
             for n in range(1, 10**5 + 1):
-                facs = distinct_prime_factors(n, spf)
+                facs = [qq for qq, _ in spf_factorize(n, spf)]
                 tp = S.composed_theta_factored(facs, p.D1, p.D0, p.z1, p.z0, +1)
                 tm = S.composed_theta_factored(facs, p.D1, p.D0, p.z1, p.z0, -1)
                 ind = 0 if any(qq <= bound for qq in facs) else 1

@@ -246,6 +246,23 @@ def test_expsum_type2_json(capsys):
     assert payload["value_im"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_expsum_type2_text_times_both_routes(capsys):
+    code, out, _ = run_cli(capsys, "expsum", "type2", "--gamma", "0.37", "--N", "64")
+    assert code == 0
+    assert out.startswith("lattice sum = ")
+    assert " ms, direct " in out and out.rstrip().endswith(" ms)")
+
+
+def test_expsum_type2_routes_disagreeing_exit_2(capsys, monkeypatch):
+    from fiprimes import expsum as E
+
+    monkeypatch.setattr(E, "type2_lattice_sum_bruteforce", lambda *args: 0.5j)
+    code, out, err = run_cli(capsys, "expsum", "type2", "--gamma", "0.37", "--N", "64")
+    assert code == 2
+    assert out == ""
+    assert "disagrees with the direct filter" in err
+
+
 def test_expsum_dfi_default_flags(capsys):
     code, out, _ = run_cli(capsys, "expsum", "dfi")
     assert code == 0

@@ -120,16 +120,17 @@ def test_alpha_plus_band():
 
 
 def test_alpha_plus_monotonicity_probe():
-    base = C.alpha_plus(check_bands=False)
-    moved = C.alpha_plus(xi1=0.193, check_bands=False)
-    assert abs(moved.c1.value - base.c1.value) < 0.2
-    assert abs(moved.c2.value - base.c2.value) < 0.2
-    assert abs(moved.c3.value - base.c3.value) < 0.2
+    # each constant moves by less than 0.2 from xi1 = 0.183 to 0.193, but
+    # their sum leaves the band there, so alpha_plus itself refuses it
+    for c_bound in (C.c1_bound, C.c2_bound, C.c3_bound):
+        assert abs(c_bound(xi1=0.193).value - c_bound(xi1=0.183).value) < 0.2
+    with pytest.raises(C.BandViolation):
+        C.alpha_plus(xi1=0.193)
 
 
 def test_alpha_plus_band_violation_raises():
     with pytest.raises(C.BandViolation):
-        C.alpha_plus(xi1=0.16, check_bands=True)
+        C.alpha_plus(xi1=0.16)
 
 
 def test_adaptive_simpson_polynomial():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fiprimes import expsum as E
 from fiprimes.gaussian import GaussianInt, enumerate_annulus
+from fiprimes import lattice as LM
 from fiprimes.lattice import lattice_new
-from fiprimes.primes import fi_decompositions, lambda_lambda_table
+from fiprimes.primes import fi_decompositions, inner_weight_table, lambda_lambda_table
 
 
 def test_s0_examples():
@@ -155,7 +157,7 @@ def _omega(l):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=3000))
 def test_inner_weight_table_matches_decompositions(x):
-    table = E.inner_weight_table(x, _omega)
+    table = inner_weight_table(x, _omega)
     assert len(table) == x + 1
     # both sum omega(l) in increasing l, so the results are equal exactly
     expected = [0.0] + [sum(_omega(d.l) for d in fi_decompositions(n)) for n in range(1, x + 1)]
@@ -210,11 +212,41 @@ def test_type2_dual_routes_bitwise():
         done += 1
 
 
+def test_type2_lattice_sum_never_calls_the_oracle(monkeypatch):
+    lat = lattice_new(GaussianInt(1, 1), 2, GaussianInt(1, 3), 2)
+    oracle = E.type2_lattice_sum_bruteforce
+
+    def forbidden(*args):
+        raise AssertionError("the direct filter ran inside type2_lattice_sum")
+
+    with monkeypatch.context() as m:
+        m.setattr(E, "annulus_points_bruteforce", forbidden)
+        m.setattr(LM, "annulus_points_bruteforce", forbidden)
+        m.setattr(E, "type2_lattice_sum_bruteforce", forbidden)
+        res = E.type2_lattice_sum(0.37, lat, 2 * lat.delta, 40 * lat.delta)
+    assert res.norm_counts
+
+    # value_direct runs the oracle on its first read only
+    calls = []
+    monkeypatch.setattr(E, "type2_lattice_sum_bruteforce",
+                        lambda *args: calls.append(args) or oracle(*args))
+    assert res.value_direct == res.value
+    assert res.value_direct == res.value
+    assert calls == [(0.37, lat, 2 * lat.delta, 40 * lat.delta)]
+
+
 def test_type2_basis_route_faster_at_large_delta():
     lat = lattice_new(GaussianInt(3, 4), 105, GaussianInt(2, 7), 110)
     assert lat.delta == 11550
-    res = E.type2_lattice_sum(0.37, lat, 40 * lat.delta, 80 * lat.delta)
-    assert res.time_basis < res.time_direct
+    M, M_hi = 40 * lat.delta, 80 * lat.delta
+    basis = LM.reduced_basis(lat)
+    t0 = time.perf_counter()
+    walk = LM.annulus_lattice_points(lat, basis, M, M_hi).points
+    t1 = time.perf_counter()
+    direct = LM.annulus_points_bruteforce(lat, M, M_hi)
+    t2 = time.perf_counter()
+    assert sorted(m.norm() for m in walk) == sorted(m.norm() for m in direct)
+    assert t1 - t0 < t2 - t1
 
 
 def test_min_sum_examples():

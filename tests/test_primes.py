@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fiprimes import primes as P
 
+from conftest import spf_table
+
 
 def eratosthenes(limit):
     """Oracle: the plain all-integers sieve, one pass per prime."""
@@ -43,40 +45,37 @@ def test_simple_sieve_at_benchmark_size():
     assert P.simple_sieve.__wrapped__(10**8).sum() == 5_761_455
 
 
-WINDOW_TOP = 3 * 2 * P.SEGMENT_BYTES + 5
+def window_sieve(lo, hi):
+    """Oracle: is_prime[n - lo] for lo <= n < hi, by the plain sieve of Eratosthenes on the window.
+
+    Each prime p <= sqrt(hi) strikes its multiples in the window from
+    max(p^2, the first multiple >= lo).
+    """
+    is_prime = np.ones(hi - lo, dtype=bool)
+    is_prime[: max(0, 2 - lo)] = False
+    ps = np.flatnonzero(eratosthenes(math.isqrt(hi - 1)))
+    first = np.maximum(ps * ps, -(-lo // ps) * ps) - lo
+    keep = first < hi - lo
+    for p, i in zip(ps[keep].tolist(), first[keep].tolist()):
+        is_prime[i::p] = False
+    return is_prime
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=WINDOW_TOP - 1)),
-    st.one_of(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=WINDOW_TOP)),
-)
-def test_sieve_range_matches_simple_sieve(lo, length):
-    hi = min(lo + length, WINDOW_TOP)
-    assert np.array_equal(P.sieve_range(lo, hi).bits, P.simple_sieve(WINDOW_TOP)[lo + 1 : hi + 1])
+def test_window_sieve_oracle_matches_simple_sieve(rng):
+    top = 10**6 + 200
+    windows = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 30), (10**6, 10**6 + 100)]
+    windows += [(int(lo), int(lo) + 1000) for lo in rng.integers(0, top - 1000, size=20)]
+    for lo, hi in windows:
+        assert np.array_equal(window_sieve(lo, hi), P.simple_sieve(top)[lo:hi]), (lo, hi)
 
 
-def test_sieve_range_textbook():
-    table = P.sieve_range(0, 30)
-    assert list(table.primes()) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
-def test_sieve_range_window():
-    table = P.sieve_range(10**6, 10**6 + 100)
-    assert table.contains(1000003)
-
-
-def test_sieve_range_empty():
-    assert P.sieve_range(0, 1).count() == 0
-
-
-def test_sieve_range_against_trial_division(rng):
+def test_is_prime_int_near_1e12(rng):
     # 10^4 random integers up to 10^12, in batches sharing a window
     for _ in range(100):
-        lo = int(rng.integers(0, 10**12 - 1000))
-        table = P.sieve_range(lo, lo + 1000)
-        for n in rng.integers(lo + 1, lo + 1001, size=100):
-            assert table.contains(int(n)) == P.is_prime_int(int(n))
+        lo = int(rng.integers(1, 10**12 - 1000))
+        is_prime = window_sieve(lo, lo + 1000)
+        for n in rng.integers(lo, lo + 1000, size=100):
+            assert P.is_prime_int(int(n)) == is_prime[n - lo], n
 
 
 def test_is_prime_int_against_sieve():
@@ -90,14 +89,9 @@ def test_is_prime_int_at_the_witness_prefix_bounds():
     assert not P.is_prime_int(25_326_001)
     assert not P.is_prime_int(3_215_031_751)
     for bound in (25_326_001, 3_215_031_751):
-        table = P.sieve_range(bound - 1000, bound + 1000)
+        is_prime = window_sieve(bound - 999, bound + 1001)
         for n in range(bound - 999, bound + 1001):
-            assert P.is_prime_int(n) == table.contains(n), n
-
-
-def test_sieve_range_capacity():
-    with pytest.raises(P.CapacityError):
-        P.sieve_range(0, 10**9, max_segment=10**6)
+            assert P.is_prime_int(n) == is_prime[n - bound + 999], n
 
 
 def test_fi_decompositions_examples():
@@ -254,7 +248,7 @@ def test_fi_pairs_blocks():
 
 def test_spf_table_against_factorize():
     for limit in list(range(201)) + [10**5]:
-        spf = P.spf_table(limit)
+        spf = spf_table(limit)
         expected = [0, 0][: limit + 1] + [P.factorize(n)[0][0] for n in range(2, limit + 1)]
         assert spf.tolist() == expected, limit
 

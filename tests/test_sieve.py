@@ -11,8 +11,9 @@ from fiprimes.primes import (
     lambda_lambda_table,
     mangoldt,
     primes_upto,
-    spf_table,
 )
+
+from conftest import spf_factorize, spf_table
 
 
 def test_beta_weights_example():
@@ -77,7 +78,7 @@ def test_sandwich_exhaustive(x):
     spf = spf_table(2 * 10**4)
     bound = max(p.z1, p.z0)
     for n in range(1, 2 * 10**4 + 1):
-        facs = distinct_prime_factors(n, spf)
+        facs = [q for q, _ in spf_factorize(n, spf)]
         tp = S.composed_theta_factored(facs, p.D1, p.D0, p.z1, p.z0, +1)
         tm = S.composed_theta_factored(facs, p.D1, p.D0, p.z1, p.z0, -1)
         ind = 0 if any(q <= bound for q in facs) else 1
@@ -135,7 +136,7 @@ def test_pan_kills_small_factor(params_1e12):
 def test_pan_exhaustive_smallrange(params_1e12):
     spf = spf_table(20000)
     for l in range(1, 20000):
-        if any(e > 1 for _, e in factorize(l, spf)):
+        if any(e > 1 for _, e in spf_factorize(l, spf)):
             continue
         assert S.pan_inequality_check(l, params_1e12).holds, l
 

@@ -145,12 +145,6 @@ def test_3ap_structure():
         assert {a, b, c} <= fi
 
 
-def test_3ap_subset_filter():
-    aps = T.find_3aps(2000, subset_filter=lambda p: p % 8 == 5)
-    for a, b, c in aps:
-        assert a % 8 == b % 8 == c % 8 == 5
-
-
 def test_w_threshold():
     w, W = T.w_from_threshold(10**8)
     assert w == pytest.approx(0.1 * math.log(math.log(10**8)))
@@ -220,8 +214,9 @@ def test_lq_moment_fi_sequence():
 
 
 def test_wtrick_damping_with_shared_factor():
-    # gcd(q, W) > 1 kills the main term: S(1/3) is tiny against N for W = 6
-    seq = T.wtrick_build(10**7, 1, W_override=6)
+    # gcd(q, W) > 1 kills the main term: S(1/3) is tiny against N for W = 12
+    seq = T.wtrick_build(10**7, 1, w_override=3)
+    assert seq.W == 12
     ns = np.arange(1, seq.N + 1)
     s = abs(np.sum(seq.values[1:] * np.exp(2j * np.pi / 3 * ns)))
     assert s / seq.N < 0.2
