@@ -16,14 +16,22 @@ prime, so e.g. 13 = 2^2 + 3^2 = 3^2 + 2^2 contributes both (k,l) = (2,3) and
 against H x is the calibrated pair-convention multiplier (a sum over k of
 both signs would give H x).
 
-Every prime table comes from ``simple_sieve``, one segmented sieve of
+Prime tables up to x come from ``simple_sieve``, one segmented sieve of
 Eratosthenes over odd numbers only (the design of primesieve and of Oliveira
 e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  It indexes the odd number
 2i + 1 by i and marks odd composites in one fixed-size segment buffer at a
 time, starting each base prime at its first odd multiple in the segment; the
-single even prime 2 is added by hand.  Beyond the tables, ``is_prime_int``
-(deterministic Miller-Rabin) and ``factorize`` (trial division) answer for
-one n at a time.
+single even prime 2 is added by hand.
+
+The FI primes, ``fi_weighted_count`` and the W-tricked sequence need the
+primality of n = k^2 + l^2 only, and take it from a sieve of each row l
+instead (``_prime_power_rows``): an odd prime q divides k^2 + l^2 only at
+the two roots k = +-s l of -1 mod q, or at q = l | k.  This is the line
+sieve of the quadratic sieve (Pomerance, 1985) on the Gaussian primes
+k + l i (Fouvry and Iwaniec, "Gaussian primes", Acta Arith. 79, 1997); it
+needs ``simple_sieve`` only up to sqrt(x) and no array that grows with x.
+Beyond the tables, ``is_prime_int`` (deterministic Miller-Rabin) and
+``factorize`` (trial division) answer for one n at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +74,15 @@ def check_bytes(nbytes: int, what: str) -> None:
 # segments pay the Python loop over base primes once per segment too often;
 # 2^20 is the largest size whose segment still sits well inside L2.
 SEGMENT_BYTES = 1 << 20
+
+# Pairs per batch of rows in the row sieve (``_prime_power_rows``), one flag
+# byte each.  In-process medians of fi_weighted_count(10**8) (five runs) and
+# (4 * 10**8) (three) on the VM above: 0.38 / 1.18 s at 2^19, 0.38 / 1.28 s
+# at 2^20, 0.39 / 1.17 s at 2^21, 0.40 / 1.27 s at 2^22, 0.42 / 1.47 s at
+# 2^23; the FI-prime table follows the same curve.  Past 2^21 the flags
+# leave L2 and the strikes slow down; below, nothing is gained, and each
+# batch holds less memory.
+ROW_BATCH = 1 << 20
 
 # Calibrated pair-convention multiplier: sum_{n<=x} LL(n) ~ R * H * x under
 # the ordered (k >= 1, l prime) convention.  Empirically the ratio sits at
@@ -201,6 +218,23 @@ def prime_power_map(x: int) -> dict[int, float]:
     return out
 
 
+def _prime_power_arrays(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers p^j <= x with j >= 2 in increasing order, and log p for each."""
+    pps = prime_power_map(x)
+    keys = np.array(sorted(pps), dtype=np.int64)
+    return keys, np.array([pps[int(k)] for k in keys], dtype=np.float64)
+
+
+def _occurring(keys: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Mask over the sorted ``keys``: which of them occur in the sorted, non-empty ``ns``.
+
+    It searches the few keys among ns, not ns among them; both ascend, so
+    the matches come out in increasing order.
+    """
+    pos = np.minimum(np.searchsorted(ns, keys), len(ns) - 1)
+    return ns[pos] == keys
+
+
 # ---------------------------------------------------------------------------
 # segmented sieving
 
@@ -327,11 +361,12 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
     the sieve majorant) is a reduction over these blocks.
 
     Parity: an odd k with an odd l gives an even n > 2, which is neither a
-    prime nor a prime power.  ``fi_weighted_count`` and the FI-prime table
-    look only at those, so they read just the even k of each odd-l block
-    through ``_prime_power_blocks`` (l = 2 keeps every k: 8 = 2^2 + 2^2
-    carries Lambda(8)).  Every other consumer, ``lambda_lambda_table``
-    included, visits all pairs.
+    prime nor a prime power.  ``fi_weighted_count``, the FI-prime table and
+    ``wtrick_build`` need only primes and prime powers, so they read the
+    rows of ``_prime_power_rows`` instead: the even k of each odd-l block
+    and every k of the l = 2 block (8 = 2^2 + 2^2 carries Lambda(8)), each
+    n with its primality from the row sieve.  ``inner_weight_table`` and
+    the sieve majorant visit all pairs here.
     """
     if ls is None:
         ls = primes_upto(math.isqrt(x - 1)) if x >= 5 else ()
@@ -343,14 +378,147 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
         yield l, ks * ks + l * l
 
 
-def _prime_power_blocks(x: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``fi_pairs(x)`` cut by its parity rule: even k only for odd l, no empty block."""
-    for l, ns in fi_pairs(x):
-        if l != 2:
-            ns = ns[1::2]
-            if not len(ns):
-                continue
-        yield l, ns
+def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (l, ns, is_prime) for the blocks of ``fi_pairs(x)`` cut by parity.
+
+    ns holds k^2 + l^2 <= x for the even k >= 2 if l is odd, and for every
+    k >= 1 if l = 2; is_prime[i] says whether ns[i] is prime.  Blocks come in
+    increasing l and none is empty.
+
+    Exactness: an odd prime q divides n = k^2 + l^2 only if q = 1 (4) and
+    k = +-s l (mod q) with s^2 = -1 (mod q), or if q = l and q | k (for
+    q = 3 (4), -1 is not a square mod q, so q | n forces q | k and q | l).
+    So each row is sieved by its two residues per prime q = 1 (4) up to
+    sqrt(x), by l itself, and, in the l = 2 row, by 2 at the even k.  That
+    strikes every composite n and also n = q itself; such n are at most
+    sqrt(x) and are read from ``simple_sieve(isqrt(x))`` instead.  No array
+    grows with x: rows are sieved ``ROW_BATCH`` pairs at a time.
+    """
+    ls, lens = _row_lengths(x)
+    if not ls:
+        return
+    root = math.isqrt(x)
+    small = simple_sieve(root)
+    qs = [q for q in _odd_primes_upto(root) if q % 4 == 1]
+    # s / 2 (mod q): row l strikes k = 2 (j + 1) = +-s l, i.e. j = +-l s / 2 - 1
+    halves = [_sqrt_minus_one(q) * (q + 1) // 2 % q for q in qs]
+    for a, b in _runs(lens, ROW_BATCH):
+        flags = _sieve_rows(ls[a:b], lens[a:b], qs, halves)
+        start = 0
+        for l, n in zip(ls[a:b], lens[a:b]):
+            step = 1 if l == 2 else 2
+            ks = np.arange(step, step * n + 1, step, dtype=np.int64)
+            ns = ks * ks + l * l
+            is_prime = flags[start : start + n]
+            start += n
+            if ns[0] <= root:
+                m = int(np.searchsorted(ns, root, side="right"))
+                is_prime[:m] = small[ns[:m]]
+            yield l, ns, is_prime
+
+
+def _row_lengths(x: int) -> tuple[list[int], list[int]]:
+    """The rows of ``_prime_power_rows(x)``: each l and its number of kept k.
+
+    Plain lists, no numpy, so a byte estimate can read them before anything
+    is allocated.
+    """
+    if x < 5:
+        return [], []
+    ls, lens = [2], [math.isqrt(x - 4)]
+    for l in _odd_primes_upto(math.isqrt(x - 1)):
+        n = math.isqrt(x - l * l) // 2
+        if not n:
+            break
+        ls.append(l)
+        lens.append(n)
+    return ls, lens
+
+
+def _row_sieve_bytes(x: int) -> tuple[int, int]:
+    """(pairs, bytes): the pairs ``_prime_power_rows(x)`` yields, and a bound
+    on the bytes it holds at once, computed without allocating.
+
+    A batch has at most max(ROW_BATCH, sqrt x) pairs.  Per pair: the flags
+    of two batches (a consumer still holds the last row of the one before)
+    and the int64 strikes of q = 5 at 2/5 of the pairs, 5.2 bytes, taken as
+    6.  Per row: 2 more strikes and about 16 int64.  Per integer up to
+    sqrt x: one row's ns, k and a consumer's temporaries, and the base
+    sieve, below 64 bytes.  With tracemalloc at 1e5 to 2e9, the peak of
+    ``fi_weighted_count`` was 0.66 to 0.81 of this bound.
+    """
+    ls, lens = _row_lengths(x)
+    pairs = sum(lens)
+    root = math.isqrt(x)
+    batch = min(pairs, max(ROW_BATCH, root))
+    return pairs, 6 * batch + 160 * len(ls) + 64 * (root + 1)
+
+
+def _sqrt_minus_one(q: int) -> int:
+    """An s with s^2 = -1 (mod q), for a prime q = 1 (4): c^((q-1)/4) for a non-residue c."""
+    c = 2
+    while pow(c, (q - 1) // 2, q) != q - 1:
+        c += 1
+    return pow(c, (q - 1) // 4, q)
+
+
+def _strike(flags: np.ndarray, first: np.ndarray, counts: np.ndarray, step: np.ndarray) -> None:
+    """Set flags[first + step i] = False for 0 <= i < counts, entry by entry.
+
+    The indices are the running sum of the steps between neighbours.  A
+    function of its own, so that a group's index array is freed before the
+    next group builds its own.
+    """
+    hit = counts > 0
+    first, c, step = first[hit], counts[hit], step[hit]
+    idx = np.repeat(step, c)
+    idx[np.cumsum(c) - c] = first - np.concatenate(([0], (first + step * (c - 1))[:-1]))
+    flags[np.cumsum(idx, out=idx)] = False
+
+
+def _runs(costs: list[int], cap: int) -> Iterator[tuple[int, int]]:
+    """Cut range(len(costs)) into runs [a, b) of total cost <= cap, or of one item."""
+    a = 0
+    while a < len(costs):
+        b, total = a + 1, costs[a]
+        while b < len(costs) and total + costs[b] <= cap:
+            total += costs[b]
+            b += 1
+        yield a, b
+        a = b
+
+
+def _sieve_rows(ls: list[int], lens: list[int], qs: list[int], halves: list[int]) -> np.ndarray:
+    """The rows' flags, concatenated: False where n is even, l | k, or a
+    prime q in ``qs`` divides n (n = q included).
+
+    Row i holds k = 2 (j + 1) at index j, or k = j + 1 for l = 2.  Each q
+    strikes two residues j of every row, at j, j + q, ... below its length.
+    The q are taken in groups, so that one ragged index array strikes a
+    whole group: a group's strikes number at most 2 len(flags) / q + 2 per
+    row for each of its q, and these bounds add up to at most a sixteenth
+    of the batch, unless the group is a single q.
+    """
+    lens_a = np.array(lens, dtype=np.int64)
+    off = np.cumsum(lens_a) - lens_a
+    size = int(lens_a.sum())
+    flags = np.ones(size, dtype=bool)
+    for l, o, n in zip(ls, off.tolist(), lens):
+        if l == 2:
+            flags[o + 1 : o + n : 2] = False  # even k, even n
+        else:
+            flags[o + l - 1 : o + n : l] = False  # l | k, l^2 | n
+    # in the l = 2 row, k = j + 1 = +-2 s is j = +-4 s / 2 - 1: the l = 4 case
+    lv = np.array([4 if l == 2 else l for l in ls], dtype=np.int64)
+    off2 = np.concatenate((off, off))
+    lens2 = np.concatenate((lens_a, lens_a))
+    bounds = [2 * size // q + 2 * len(ls) for q in qs]
+    for a, b in _runs(bounds, size // 16):
+        q = np.array(qs[a:b], dtype=np.int64)[:, None]
+        t = lv * np.array(halves[a:b], dtype=np.int64)[:, None] % q
+        j = np.hstack(((t - 1) % q, q - 1 - t))
+        _strike(flags, off2 + j, (lens2 - j + q - 1) // q, np.broadcast_to(q, j.shape))
+    return flags
 
 
 def inner_weight_table(x: int, omega: Callable[[int], float]) -> np.ndarray:
@@ -364,13 +532,6 @@ def inner_weight_table(x: int, omega: Callable[[int], float]) -> np.ndarray:
         w = omega(l)
         if w != 0.0:
             table[ns] += w
-    return table
-
-
-def lambda_lambda_table(x: int) -> np.ndarray:
-    """Array of LL(n) for 0 <= n <= x: the inner weights log l times Lambda(n)."""
-    table = inner_weight_table(x, math.log)
-    table *= mangoldt_table(x)
     return table
 
 
@@ -394,17 +555,12 @@ def fi_weighted_count(x: int) -> FiCountResult:
         raise ValueError("x must be >= 2")
     if x > MAX_COUNT_X:
         raise CapacityError(f"x={x} exceeds cap {MAX_COUNT_X}")
-    is_p = simple_sieve(x)
-    pps = prime_power_map(x)
-    pp_keys = np.array(sorted(pps), dtype=np.int64)
-    pp_vals = np.array([pps[int(k)] for k in pp_keys], dtype=np.float64)
+    check_bytes(_row_sieve_bytes(x)[1], f"weighted count to {x}")
+    pp_keys, pp_vals = _prime_power_arrays(x)
     total = 0.0
-    for l, ns in _prime_power_blocks(x):
-        prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()
-        # search the few prime powers among the block, not the block among
-        # them; both ascend, so the matches add up in the same order
-        pos = np.minimum(np.searchsorted(ns, pp_keys), len(ns) - 1)
-        pp_part = pp_vals[ns[pos] == pp_keys].sum()
+    for l, ns, is_prime in _prime_power_rows(x):
+        prime_part = np.log(ns[is_prime].astype(np.float64)).sum()
+        pp_part = pp_vals[_occurring(pp_keys, ns)].sum()
         total += math.log(l) * (prime_part + pp_part)
     h = reference_H()
     return FiCountResult(value=total, h=h, hx=h * x, ratio=total / (h * x))
@@ -459,13 +615,23 @@ def fi_primes_upto(limit: int, cache_dir: Optional[str | Path] = None) -> np.nda
 
 
 def _compute_fi_primes(limit: int) -> np.ndarray:
-    # the sieve and the hits bitmap, one byte per integer each
-    check_bytes(2 * (limit + 1), f"FI-prime table to {limit}")
-    is_p = simple_sieve(limit)
-    hits = np.zeros(limit + 1, dtype=bool)
-    for _, ns in _prime_power_blocks(limit):
-        hits[ns[is_p[ns]]] = True
-    return np.flatnonzero(hits).astype(np.int64)
+    """The primes of the rows of ``_prime_power_rows(limit)``, sorted, each once.
+
+    A prime with several representations is hit once per row; after the
+    sort, a neighbour compare keeps the first of each run.
+    """
+    pairs, nbytes = _row_sieve_bytes(limit)
+    # at most one hit per pair: the rows' hits and their concatenation (8 + 8
+    # bytes each), then the neighbour mask and the result (1 + 8)
+    check_bytes(nbytes + 17 * pairs, f"FI-prime table to {limit}")
+    parts = [ns[is_prime] for _, ns, is_prime in _prime_power_rows(limit)]
+    hits = np.concatenate(parts)
+    del parts
+    hits.sort()
+    keep = np.empty(len(hits), dtype=bool)
+    keep[0] = True
+    np.not_equal(hits[1:], hits[:-1], out=keep[1:])
+    return hits[keep]
 
 
 def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:

@@ -30,11 +30,14 @@ import numpy as np
 from .local import reference_H, xi
 from .primes import (
     CONVENTION_MULTIPLIER,
+    _occurring,
+    _prime_power_arrays,
+    _prime_power_rows,
+    _row_sieve_bytes,
     check_bytes,
     euler_phi,
     fi_primes_upto,
     is_fi_prime,
-    lambda_lambda_table,
     primes_upto,
 )
 
@@ -282,6 +285,13 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
     where R is the calibrated pair-convention multiplier of LL against H x
     (1/2 here); with it the empirical mean tends to 1.  Admissibility:
     gcd(b, W) = 1 and b = 1 (4).
+
+    LL(m) is non-zero only at prime powers m, and m = W n + b is odd, so the
+    rows of ``_prime_power_rows`` hold every pair that counts.  Each row adds
+    log l at the class's primes, and at the prime powers p^j (j >= 2) it
+    holds, in increasing l: the order of the inner-weight table
+    ``sum log l``.  The sums are then multiplied by Lambda(m) and the scale
+    at those slots only.  No array longer than N + 1 is built.
     """
     w, W = w_from_threshold(x, w_override)
     if not (1 <= b <= W):
@@ -292,10 +302,25 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
     if xi_wb == 0:
         raise ValueError(f"Xi({W}, {b}) = 0; the class carries no mass")
     N = x // W
-    ll = lambda_lambda_table(W * N + b)
+    top = W * N + b
+    pairs, nbytes = _row_sieve_bytes(top)
+    # values, then per slot (at most one per n, or per pair) its index, m,
+    # Lambda and two products
+    check_bytes(nbytes + 8 * (N + 1) + 40 * min(N + 1, pairs), f"W-tricked sequence to {x}")
     scale = euler_phi(W) / (float(xi_wb) * W * CONVENTION_MULTIPLIER * reference_H())
+    pp_keys, pp_vals = _prime_power_arrays(top)
+    pp_sums = np.zeros(len(pp_keys), dtype=np.float64)
     values = np.zeros(N + 1, dtype=np.float64)
-    values[1:] = scale * ll[W + b :: W]
+    for l, ns, is_prime in _prime_power_rows(top):
+        m = ns[is_prime]
+        m = m[m % W == b]
+        values[(m - b) // W] += math.log(l)
+        pp_sums[_occurring(pp_keys, ns)] += math.log(l)
+    values[0] = 0.0  # m = b is n = 0, outside the sequence
+    slots = np.flatnonzero(values)  # the primes with a pair
+    values[slots] = scale * (values[slots] * np.log((W * slots + b).astype(np.float64)))
+    pp_in = (pp_keys % W == b) & (pp_keys > b)
+    values[(pp_keys[pp_in] - b) // W] = scale * (pp_sums[pp_in] * pp_vals[pp_in])
     return WTrickedSequence(x=x, w=w, W=W, b=b, N=N, values=values)
 
 

@@ -4,8 +4,67 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fiprimes.primes import primes_upto
+from fiprimes.primes import (
+    fi_pairs,
+    inner_weight_table,
+    mangoldt_table,
+    prime_power_map,
+    primes_upto,
+    simple_sieve,
+)
 from fiprimes.sieve import MajorantParams
+
+
+def lambda_lambda_table(x: int) -> np.ndarray:
+    """LL-table oracle: LL(n) for 0 <= n <= x, the inner weights log l times Lambda(n).
+
+    Two arrays of x + 1 float64; ``fiprimes.ternary.wtrick_build`` reads
+    the same values off the row sieve without them.
+    """
+    table = inner_weight_table(x, math.log)
+    table *= mangoldt_table(x)
+    return table
+
+
+def sieve_blocks(x: int):
+    """The blocks of ``fi_pairs(x)`` cut by parity: even k for odd l, every k
+    for l = 2, no empty block; the blocks of ``_prime_power_rows`` without flags."""
+    for l, ns in fi_pairs(x):
+        if l != 2:
+            ns = ns[1::2]
+            if not len(ns):
+                continue
+        yield l, ns
+
+
+def fi_weighted_count_by_sieve(x: int) -> float:
+    """Oracle: ``fi_weighted_count(x).value`` by membership in ``simple_sieve(x)``.
+
+    The same blocks, adds and order as the product, with primality read
+    from one byte per integer instead of the row sieve, so the two agree
+    bit for bit.
+    """
+    is_p = simple_sieve(x)
+    pps = prime_power_map(x)
+    pp_keys = np.array(sorted(pps), dtype=np.int64)
+    pp_vals = np.array([pps[int(k)] for k in pp_keys], dtype=np.float64)
+    total = 0.0
+    for l, ns in sieve_blocks(x):
+        prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()
+        pos = np.minimum(np.searchsorted(ns, pp_keys), len(ns) - 1)
+        pp_part = pp_vals[ns[pos] == pp_keys].sum()
+        total += math.log(l) * (prime_part + pp_part)
+    return total
+
+
+def fi_primes_by_sieve(limit: int) -> np.ndarray:
+    """Oracle for the FI-prime table: every pair of ``fi_pairs``, parity not
+    used, marked in a bitmap where ``simple_sieve(limit)`` says prime."""
+    is_p = simple_sieve(limit)
+    hits = np.zeros(limit + 1, dtype=bool)
+    for _, ns in fi_pairs(limit):
+        hits[ns[is_p[ns]]] = True
+    return np.flatnonzero(hits)
 
 
 @lru_cache(maxsize=2)

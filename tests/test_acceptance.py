@@ -30,11 +30,10 @@ from fiprimes.primes import (
     euler_phi,
     factorize,
     fi_weighted_count,
-    lambda_lambda_table,
 )
 from fiprimes.quadrature import adaptive_simpson
 
-from conftest import spf_factorize, spf_table
+from conftest import lambda_lambda_table, spf_factorize, spf_table
 
 
 _REPORT_PATH = os.environ.get("FI_ACCEPTANCE_REPORT")

@@ -10,7 +10,9 @@ from fiprimes import expsum as E
 from fiprimes.gaussian import GaussianInt, enumerate_annulus
 from fiprimes import lattice as LM
 from fiprimes.lattice import lattice_new
-from fiprimes.primes import fi_decompositions, inner_weight_table, lambda_lambda_table
+from fiprimes.primes import fi_decompositions, inner_weight_table
+
+from conftest import lambda_lambda_table
 
 
 def test_s0_examples():

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from fiprimes import primes as P
 
-from conftest import spf_table
+from conftest import (
+    fi_primes_by_sieve,
+    fi_weighted_count_by_sieve,
+    lambda_lambda_table,
+    sieve_blocks,
+    spf_table,
+)
 
 
 def eratosthenes(limit):
@@ -179,29 +185,80 @@ def test_weighted_count_matches_bruteforce(x):
 
 def test_weighted_count_matches_all_pairs_table_at_1e7():
     x = 10**7
-    table_sum = P.lambda_lambda_table(x).sum()
+    table_sum = lambda_lambda_table(x).sum()
     assert abs(P.fi_weighted_count(x).value - table_sum) <= pair_count(x) * 2.0**-53 * table_sum
 
 
 def test_fi_primes_table_matches_all_pairs_reference_at_1e7():
     x = 10**7
+    assert np.array_equal(P._compute_fi_primes(x), fi_primes_by_sieve(x))
+
+
+def test_weighted_count_at_1e8_matches_sieve_oracle():
+    # the benchmarked size: the row sieve and sieve membership add the same
+    # terms in the same order
+    value = P.fi_weighted_count(10**8).value
+    assert value == 106452481.55166797
+    assert value == fi_weighted_count_by_sieve(10**8)
+
+
+def test_fi_primes_at_1e8_match_sieve_oracle():
+    table = P._compute_fi_primes(10**8)
+    assert len(table) == 785379
+    assert np.array_equal(table, fi_primes_by_sieve(10**8))
+
+
+def check_rows(x):
+    """``_prime_power_rows(x)`` against ``sieve_blocks`` and ``simple_sieve`` membership."""
     is_p = P.simple_sieve(x)
-    hits = np.zeros(x + 1, dtype=bool)
-    for _, ns in P.fi_pairs(x):
-        hits[ns[is_p[ns]]] = True
-    assert np.array_equal(P._compute_fi_primes(x), np.flatnonzero(hits))
+    rows = list(P._prime_power_rows(x))
+    blocks = list(sieve_blocks(x))
+    assert [l for l, _, _ in rows] == [l for l, _ in blocks], x
+    for (l, ns, is_prime), (_, expected) in zip(rows, blocks):
+        assert np.array_equal(ns, expected), (x, l)
+        assert np.array_equal(is_prime, is_p[ns]), (x, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=2 * 10**5))
+@example(5)  # the l = 2 row alone: 5 = 1^2 + 2^2
+@example(25)  # q = 5 <= sqrt(x) strikes n = 5 itself, which is re-read
+@example(26)  # the first odd row: 26 = 1^2 + 5^2 is dropped, k = 2 is not there yet
+@example(50)  # q = l = 5 at k = 5 (n = 50) and the l = 2 row's even k
+def test_row_sieve_flags_match_simple_sieve(x):
+    check_rows(x)
+
+
+def test_row_sieve_in_small_batches(monkeypatch):
+    # batches of one row and of a few rows, cut inside the q = 5 strikes
+    for batch in (1, 7, 100):
+        monkeypatch.setattr(P, "ROW_BATCH", batch)
+        for x in (5, 25, 26, 50, 1000, 3001, 10**5):
+            check_rows(x)
 
 
 def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # the sieve and the hits bitmap: 2 (limit + 1) bytes
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 1000)
-    P._compute_fi_primes(499)
+    # the row sieve (6 bytes per pair, 160 per row, 64 per integer up to
+    # sqrt x) and 17 bytes per pair for the hits: 9,783 bytes at 1684 (225
+    # pairs, 12 rows); at 1685 = 41^2 + 2^2 the row l = 41 starts, 10,012
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
+    P._compute_fi_primes(1684)
     with pytest.raises(P.CapacityError):
-        P._compute_fi_primes(500)
+        P._compute_fi_primes(1685)
     monkeypatch.undo()
     forbid_alloc()
+    with pytest.raises(P.CapacityError):  # the default budget ends near 2.86e9
+        P._compute_fi_primes(3 * 10**9)
+
+
+def test_weighted_count_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # the row sieve's bound alone: 6 bytes per pair, 160 per row, 64 per
+    # integer up to sqrt x
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
+    P.fi_weighted_count(4000)
+    forbid_alloc()
     with pytest.raises(P.CapacityError):
-        P._compute_fi_primes(10**9)
+        P.fi_weighted_count(10**6)
 
 
 def test_weighted_count_includes_outer_prime_powers():
@@ -225,7 +282,7 @@ def test_weighted_count_trivial():
 
 def test_lambda_lambda_table_matches_scalar():
     for x in list(range(11)) + [2000]:
-        table = P.lambda_lambda_table(x)
+        table = lambda_lambda_table(x)
         assert len(table) == x + 1
         for n in range(1, x + 1):
             assert table[n] == pytest.approx(P.lambda_lambda(n), abs=1e-12), (x, n)

@@ -8,12 +8,11 @@ from fiprimes import sieve as S
 from fiprimes.primes import (
     distinct_prime_factors,
     factorize,
-    lambda_lambda_table,
     mangoldt,
     primes_upto,
 )
 
-from conftest import spf_factorize, spf_table
+from conftest import lambda_lambda_table, spf_factorize, spf_table
 
 
 def test_beta_weights_example():

@@ -6,6 +6,8 @@ import pytest
 from fiprimes import primes as P, ternary as T
 from fiprimes.primes import fi_primes_upto
 
+from conftest import lambda_lambda_table
+
 
 def test_find_representation_examples():
     w = T.find_representation(15)
@@ -183,6 +185,31 @@ def test_wtrick_values_trace_ll():
     for n in range(1, seq.N + 1):
         assert seq.values[n] == pytest.approx(lambda_lambda(12 * n + 1) / (2.0 * reference_H()),
                                               rel=1e-12), n
+
+
+def test_wtrick_build_matches_ll_table():
+    from fiprimes.local import reference_H, xi
+
+    cases = [(x, b, w) for x in (10**4, 10**6, 10**7) for b, w in ((1, None), (1, 3), (5, 3))]
+    # W = 60 with b = 49 = 7^2 (a prime power at n = 0); W = 420 with N = 1
+    # and 420 + 109 = 23^2, a prime power with no pair
+    cases += [(6000, 49, 5), (420, 109, 7)]
+    for x, b, w in cases:
+        seq = T.wtrick_build(x, b, w_override=w)
+        W, N = seq.W, seq.N
+        ll = lambda_lambda_table(W * N + b)
+        scale = P.euler_phi(W) / (float(xi(W, b)) * W * P.CONVENTION_MULTIPLIER * reference_H())
+        expected = np.zeros(N + 1)
+        expected[1:] = scale * ll[W + b :: W]
+        assert np.array_equal(seq.values, expected), (x, b, W)
+
+
+def test_wtrick_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    T.wtrick_build(10**4, 1)  # fills the small caches it reads (W, Xi, H)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10**5)
+    forbid_alloc()
+    with pytest.raises(P.CapacityError):
+        T.wtrick_build(10**5, 1)
 
 
 def test_parseval_gate():
