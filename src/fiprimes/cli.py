@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
 from collections.abc import Iterable
@@ -41,6 +42,20 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write(batch)
 
 
+def _int_arg(s: str) -> int:
+    """An integer flag value: an integer literal, or an integer times a power
+    of ten written as 1e7.  Non-integral forms (1.5e3, 1e-3, nan, inf) are
+    refused, and argparse then exits 2."""
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    m = re.fullmatch(r"\s*([+-]?\d+)[eE]\+?(\d{1,2})\s*", s)
+    if m is None:
+        raise argparse.ArgumentTypeError(f"expected an integer such as 100000 or 1e5, got {s!r}")
+    return int(m[1]) * 10 ** int(m[2])
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -51,14 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list FI primes up to a limit (cached)")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--csv", action="store_true", help="CSV rows: p")
     p.add_argument("--cache-dir", default=None, help="cache directory (default: FI_CACHE_DIR env)")
     _add_common(p)
 
     p = sub.add_parser("xi", help="local density Xi(q, a), exact rational")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--q", type=_int_arg, required=True)
+    p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--brute-force", action="store_true")
     _add_common(p)
 
@@ -67,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("rough", help="z-rough count <= limit: exact vs predicted")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--z", type=float, required=True)
     _add_common(p)
 
     p = sub.add_parser("sieve", help="composed sieve and majorant at n")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--x", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--sign", choices=["+", "-"], default="+")
     _add_common(p)
 
@@ -85,49 +100,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="star lattice: discriminant, basis, counts")
     p.add_argument("--l1", required=True, help="a,b for l1 = a + b i")
-    p.add_argument("--d1", type=int, required=True)
+    p.add_argument("--d1", type=_int_arg, required=True)
     p.add_argument("--l2", required=True, help="c,d for l2 = c + d i")
-    p.add_argument("--d2", type=int, required=True)
+    p.add_argument("--d2", type=_int_arg, required=True)
     p.add_argument("--annulus", default=None, help="M,M_hi window to count")
     _add_common(p)
 
     p = sub.add_parser("expsum", help="exponential-sum kernels")
     p.add_argument("kind", choices=["s0", "type1", "type2", "minsum", "dfi"])
     p.add_argument("--gamma", type=str, default="0", help="frequency, float or a/q")
-    p.add_argument("--N", type=int, default=1000)
-    p.add_argument("--x", type=int, default=10**5)
-    p.add_argument("--D-I", dest="d_i", type=int, default=None,
+    p.add_argument("--N", type=_int_arg, default=1000)
+    p.add_argument("--x", type=_int_arg, default=10**5)
+    p.add_argument("--D-I", dest="d_i", type=_int_arg, default=None,
                    help="Type I level (default 10 for type1, 50 for dfi, which needs z < D_I)")
-    p.add_argument("--W", type=int, default=1)
-    p.add_argument("--b", type=int, default=1)
+    p.add_argument("--W", type=_int_arg, default=1)
+    p.add_argument("--b", type=_int_arg, default=1)
     p.add_argument("--phase", choices=["n", "dn"], default="n")
-    p.add_argument("--J", type=int, default=100)
+    p.add_argument("--J", type=_int_arg, default=100)
     p.add_argument("--K", type=float, default=100.0)
-    p.add_argument("--multiplier", type=int, default=1)
+    p.add_argument("--multiplier", type=_int_arg, default=1)
     p.add_argument("--z", type=float, default=11.0)
     p.add_argument("--U1", type=float, default=3.0)
     p.add_argument("--U2", type=float, default=5.0)
-    p.add_argument("--bands", type=int, default=3)
+    p.add_argument("--bands", type=_int_arg, default=3)
     _add_common(p)
 
     p = sub.add_parser("verify-ternary", help="scan x = 3 (4) for three-FI-prime sums")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--exceptions-only", action="store_true")
     p.add_argument("--csv", action="store_true", help="CSV rows: x,p1,p2,p3|status")
     p.add_argument("--cache-dir", default=None, help="cache directory (default: FI_CACHE_DIR env)")
     _add_common(p)
 
     p = sub.add_parser("3ap", help="three-term APs in the FI primes")
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int_arg, required=True)
     p.add_argument("--csv", action="store_true", help="CSV rows: p,mid,third")
     _add_common(p)
 
     p = sub.add_parser("lq", help="L^q moment of the W-tricked exponential sum")
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", type=_int_arg, required=True)
     p.add_argument("--q", type=float, default=2.5)
-    p.add_argument("--b", type=int, default=1)
+    p.add_argument("--b", type=_int_arg, default=1)
     p.add_argument("--w-override", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=_int_arg, default=None)
     _add_common(p)
 
     return ap

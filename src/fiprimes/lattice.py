@@ -178,7 +178,6 @@ def shortest_vector_bruteforce(lat: StarLattice) -> GaussianInt:
 @dataclass(frozen=True)
 class AnnulusPoints:
     points: list[GaussianInt]
-    l2_set: list[int]
     l1_rows: dict[int, list[tuple[int, int]]]
 
 
@@ -187,8 +186,8 @@ def annulus_lattice_points(
 ) -> AnnulusPoints:
     """Lattice points with M < |m|^2 <= M_hi, row by row in lambda2.
 
-    Returns the points (lambda2 ascending, then lambda1 ascending), the
-    lambda2 values that occur, and for each lambda2 the lambda1 intervals.
+    Returns the points (lambda2 ascending, then lambda1 ascending) and, for
+    each lambda2 that occurs, its lambda1 intervals.
     """
     if not M < M_hi:
         raise ValueError("need M < M_hi")
@@ -200,7 +199,6 @@ def annulus_lattice_points(
     disc = A * C - Bc * Bc
     lam2_bound = math.isqrt(M_hi * A // disc) + 2
     points: list[GaussianInt] = []
-    l2_set: list[int] = []
     l1_rows: dict[int, list[tuple[int, int]]] = {}
     for lam2 in range(-lam2_bound, lam2_bound + 1):
         # quadratic in lam1: A x^2 + 2 Bc lam2 x + C lam2^2 in (M, M_hi]
@@ -211,7 +209,6 @@ def annulus_lattice_points(
         intervals = _subtract_interval(outer, inner)
         if not intervals:
             continue
-        l2_set.append(lam2)
         l1_rows[lam2] = intervals
         for lo, hi in intervals:
             for lam1 in range(lo, hi + 1):
@@ -220,7 +217,7 @@ def annulus_lattice_points(
                         lam1 * b1.re + lam2 * b2.re, lam1 * b1.im + lam2 * b2.im
                     )
                 )
-    return AnnulusPoints(points=points, l2_set=l2_set, l1_rows=l1_rows)
+    return AnnulusPoints(points=points, l1_rows=l1_rows)
 
 
 def _quad_range(a: int, b: int, c: int) -> Optional[tuple[int, int]]:

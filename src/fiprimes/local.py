@@ -15,6 +15,17 @@ Xi(p^r, a) = Xi(p, a) for odd p, Xi(2^r, a) = Xi(4, a) for r >= 2.  All of
 this is exact rational arithmetic; floats appear only in the infinite
 products (psi, H), which carry explicit tail bounds.
 
+At an odd prime p not dividing a no table is needed.  The square counts are
+#{k mod p : k^2 = t (p)} = 1 + (t|p), and sum_{c mod p} ((c^2 - a)/p) = -1
+(Ireland and Rosen, A Classical Introduction to Modern Number Theory, ch. 8);
+with ((-1)/p) = chi(p) this gives
+
+    sum_{c=1}^{p-1} rho_c(p, a) = p - 1 - chi(p) - (a|p),
+
+and since psi'(p)/phi(p) = 1/(p - 1 - chi(p)),
+
+    Xi(p, a) = 1 - (a|p) / (p - 1 - chi(p)).
+
 Note: Xi(4, 1) = 2 here.  All FI primes are 1 mod 4, so the class 1 mod 4
 holds the entire mass and the mean-one normalisation forces the value 2; the
 value is also what the defining formula yields.
@@ -141,20 +152,13 @@ def _divisors(n: int) -> list[int]:
 # Xi(q, a): the multiplicative fast path and the brute-force oracle
 
 
-@lru_cache(maxsize=None)
-def _square_count(q: int) -> np.ndarray:
-    """sq[t] = #{k mod q : k^2 = t (q)}, read-only because the cache shares it."""
-    ks = np.arange(q, dtype=np.int64)
-    sq = np.bincount((ks * ks) % q, minlength=q)
-    sq.setflags(write=False)
-    return sq
-
-
 def xi(q: int, a: int) -> Fraction:
     """Exact Xi(q, a), assembled multiplicatively from prime(-power) moduli.
 
-    ``xi_bruteforce`` evaluates the defining sum directly and serves as the
-    oracle for this fast path.
+    At an odd prime p not dividing a, Xi(p, a) = 1 - (a|p) / (p - 1 - chi(p)),
+    with the Legendre symbol (a|p) from Euler's criterion: see the module
+    docstring.  ``xi_bruteforce`` evaluates the defining sum directly and
+    serves as the oracle for this fast path.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -170,20 +174,12 @@ def xi(q: int, a: int) -> Fraction:
             if e > 1:
                 out *= 2 if a % 4 == 1 else 0
         else:
-            out *= _xi_odd_prime(p, a % p)
+            d = p - 1 - chi(p)
+            leg = 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+            out *= Fraction(d - leg, d)
         if out == 0:
             return out
     return out
-
-
-@lru_cache(maxsize=None)
-def _xi_odd_prime(p: int, a: int) -> Fraction:
-    sq = _square_count(p)
-    cs = np.arange(1, p, dtype=np.int64)
-    t = (a - cs * cs) % p
-    total = int(sq[t].sum())
-    # psi'(p)/phi(p) * total simplifies to total / (p - 1 - chi(p))
-    return Fraction(total, p - 1 - chi(p))
 
 
 def xi_bruteforce(q: int, a: int) -> Fraction:
@@ -205,8 +201,8 @@ def xi_bruteforce(q: int, a: int) -> Fraction:
 def coprime_rho_row(q: int) -> np.ndarray:
     """T[a] = sum over coprime c of rho_c(q, a), for every a mod q.
 
-    Computed as a circular convolution of the square-count table with
-    the multiset {c^2 mod q : (c, q) = 1}.  Both are tables of nonnegative
+    Computed as a circular convolution of the square counts
+    sq[t] = #{k mod q : k^2 = t (q)} with the multiset {c^2 mod q : (c, q) = 1}.  Both are tables of nonnegative
     integer counts whose entries sum to at most q, so every exact T[a] is
     an integer <= q^2 <= 10^8 for the q <= 10^4 that ``xi_bruteforce``
     allows, and the float64 FFT error (of order eps * log2(q) * q^2) is far
@@ -214,10 +210,10 @@ def coprime_rho_row(q: int) -> np.ndarray:
     1/4 is checked on every call and an AssertionError is raised if it fails.
     The row is read-only because the cache hands it to every caller.
     """
-    sq = _square_count(q).astype(np.float64)
-    cs = np.arange(q, dtype=np.int64)
-    coprime = np.gcd(cs, q) == 1
-    mult = np.bincount((cs[coprime] ** 2) % q, minlength=q).astype(np.float64)
+    ks = np.arange(q, dtype=np.int64)
+    sq = np.bincount((ks * ks) % q, minlength=q).astype(np.float64)
+    coprime = np.gcd(ks, q) == 1
+    mult = np.bincount((ks[coprime] ** 2) % q, minlength=q).astype(np.float64)
     conv = np.fft.irfft(np.fft.rfft(sq) * np.fft.rfft(mult), n=q)
     out = np.rint(conv)
     margin = float(np.max(np.abs(conv - out)))
@@ -275,20 +271,10 @@ def xi_extremes(Q: int, direction: Literal["small", "large"]) -> XiExtreme:
 def _crt(residues: list[tuple[int, int]]) -> int:
     m, r = 1, 0
     for mod, res in residues:
-        g, inv = _egcd(m % mod, mod)
-        if g != 1:
-            raise ValueError("moduli must be coprime")
+        try:
+            inv = pow(m, -1, mod)
+        except ValueError:
+            raise ValueError("moduli must be coprime") from None
         r = r + m * ((res - r) * inv % mod)
         m *= mod
     return r % m
-
-
-def _egcd(a: int, m: int) -> tuple[int, int]:
-    """gcd and inverse of a mod m."""
-    old_r, r = a, m
-    old_s, s = 1, 0
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-    return old_r, old_s % m

@@ -200,29 +200,23 @@ def mangoldt_table(x: int) -> np.ndarray:
     lam = np.zeros(x + 1, dtype=np.float64)
     pr = primes_upto(x) if x >= 2 else np.array([], dtype=np.int64)
     lam[pr] = np.log(pr.astype(np.float64))
-    for pk, lp in prime_power_map(x).items():
-        lam[pk] = lp
+    keys, logs = _prime_power_arrays(x)
+    lam[keys] = logs
     return lam
-
-
-def prime_power_map(x: int) -> dict[int, float]:
-    """{p^j: log p} for prime powers p^j <= x with j >= 2."""
-    out: dict[int, float] = {}
-    for p in primes_upto(math.isqrt(x)):
-        p = int(p)
-        lp = math.log(p)
-        pk = p * p
-        while pk <= x:
-            out[pk] = lp
-            pk *= p
-    return out
 
 
 def _prime_power_arrays(x: int) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers p^j <= x with j >= 2 in increasing order, and log p for each."""
-    pps = prime_power_map(x)
-    keys = np.array(sorted(pps), dtype=np.int64)
-    return keys, np.array([pps[int(k)] for k in keys], dtype=np.float64)
+    ps = primes_upto(math.isqrt(x))
+    logs = np.array([math.log(p) for p in ps.tolist()], dtype=np.float64)
+    # powers[j - 2] = the p^j <= x; they belong to a prefix of the ascending ps
+    powers = [ps * ps]
+    while len(powers[-1]):
+        pk = powers[-1] * ps[: len(powers[-1])]
+        powers.append(pk[pk <= x])
+    keys = np.concatenate(powers)
+    order = np.argsort(keys)
+    return keys[order], np.concatenate([logs[: len(pk)] for pk in powers])[order]
 
 
 def _occurring(keys: np.ndarray, ns: np.ndarray) -> np.ndarray:

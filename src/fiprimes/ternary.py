@@ -327,12 +327,16 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
 def lq_moment(seq: WTrickedSequence, q: float, grid: int) -> float:
     """Grid estimate of int_0^1 |sum f(n) e(gamma n)|^q dgamma, over N^(q-1).
 
-    The integrand oscillates at scale 1/N, so the grid must be >= 4N.
+    The integrand oscillates at scale 1/N, so the grid must be >= 4N.  The
+    grid, its complex FFT and the |.| and power temporaries peak at 40 bytes
+    per grid point (tracemalloc: 80.1 MB at x = 10^6, grid 2 * 10^6; 800.1 MB
+    at x = 10^7, grid 2 * 10^7), which is checked before allocating.
     """
     if not 2.0 <= q < 3.0:
         raise ValueError("need 2 <= q < 3")
     if grid < 4 * seq.N:
         raise ValueError("grid too coarse; need grid >= 4 N")
+    check_bytes(40 * grid, f"L^q grid of {grid} points")
     f = np.zeros(grid, dtype=np.float64)
     f[1 : seq.N + 1] = seq.values[1:]
     spectrum = np.abs(np.fft.fft(f))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from fiprimes.primes import (
+    _prime_power_arrays,
     fi_pairs,
     inner_weight_table,
     mangoldt_table,
-    prime_power_map,
     primes_upto,
     simple_sieve,
 )
@@ -45,9 +45,7 @@ def fi_weighted_count_by_sieve(x: int) -> float:
     bit for bit.
     """
     is_p = simple_sieve(x)
-    pps = prime_power_map(x)
-    pp_keys = np.array(sorted(pps), dtype=np.int64)
-    pp_vals = np.array([pps[int(k)] for k in pp_keys], dtype=np.float64)
+    pp_keys, pp_vals = _prime_power_arrays(x)
     total = 0.0
     for l, ns in sieve_blocks(x):
         prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()

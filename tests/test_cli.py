@@ -225,6 +225,31 @@ def test_lq_command(capsys):
     assert payload["moment_ratio"] < 10.0
 
 
+def test_lq_over_the_byte_budget_exits_1(capsys):
+    code, out, err = run_cli(capsys, "lq", "--x", "1e4", "--grid", "1e9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: L^q grid of 1000000000 points needs 40000000000 bytes")
+
+
+@pytest.mark.parametrize("short, plain", [
+    ("lq --x 1e5 --json", "lq --x 100000 --json"),
+    ("enumerate --limit 1e3", "enumerate --limit 1000"),
+])
+def test_integer_flags_take_powers_of_ten(short, plain, capsys):
+    code, out, _ = run_cli(capsys, *short.split())
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *plain.split())[:2]
+
+
+@pytest.mark.parametrize("value", ["1.5e3", "1e-3", "nan", "inf"])
+def test_integer_flags_refuse_non_integers(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--limit", value])
+    assert exc.value.code == 2
+    assert f"argument --limit: expected an integer such as 100000 or 1e5, got '{value}'" in capsys.readouterr().err
+
+
 def test_3ap_csv(capsys):
     code, out, _ = run_cli(capsys, "3ap", "--limit", "53", "--csv")
     lines = out.splitlines()

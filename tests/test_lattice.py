@@ -116,7 +116,7 @@ def test_l2_band():
             M_hi = mult * lat.delta
             rows = LM.annulus_lattice_points(lat, basis, M_hi // 2, M_hi)
             bound = (4.0 / math.sqrt(3.0)) * math.sqrt(M_hi / basis.b2.norm()) + 2.0
-            assert len(rows.l2_set) <= bound
+            assert len(rows.l1_rows) <= bound
 
 
 def test_point_count_band():

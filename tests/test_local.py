@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fiprimes import local as L
+from fiprimes.primes import euler_phi, primes_upto
 
 
 def test_chi():
@@ -90,11 +92,40 @@ def test_xi_matches_bruteforce_at_benchmark_q():
             assert L.xi(q, a) == L.xi_bruteforce(q, a), (q, a)
 
 
+def test_xi_closed_form_matches_bruteforce_at_odd_primes():
+    # 1 - (a|p)/(p - 1 - chi(p)) against the defining sum, p = 1 and 3 mod 4
+    for p in primes_upto(1000).tolist()[1:]:
+        for a in range(p):
+            assert L.xi(p, a) == L.xi_bruteforce(p, a), (p, a)
+
+
+def test_xi_closed_form_matches_defining_sum_at_prime_powers():
+    # xi_bruteforce's defining sum, also past its cap of 10^4 (37^3 = 50653);
+    # coprime_rho_row checks its FFT rounding margin on every call
+    for p in primes_upto(40).tolist()[1:]:
+        for q in (p**2, p**3):
+            row = L.coprime_rho_row(q)
+            weight = L.psi_prime(q) / euler_phi(q)
+            for a in range(q):
+                want = weight * int(row[a]) if a % p else 0
+                assert L.xi(q, a) == want, (q, a)
+
+
+def test_coprime_rho_row_is_p_minus_1_minus_chi_minus_legendre():
+    # sum_{c=1}^{p-1} rho_c(p, a) = p - 1 - chi(p) - (a|p) for p not dividing a,
+    # with (a|p) read off the set of squares mod p
+    for p in primes_upto(5000).tolist()[1:]:
+        a = np.arange(1, p, dtype=np.int64)
+        is_square = np.zeros(p, dtype=bool)
+        is_square[(a * a) % p] = True
+        legendre = np.where(is_square[a], 1, -1)
+        row = L.coprime_rho_row(p)
+        assert np.array_equal(row[1:], p - 1 - L.chi(p) - legendre), p
+
+
 def test_cached_rows_are_read_only():
     with pytest.raises(ValueError):
         L.coprime_rho_row(45)[7] = 0
-    with pytest.raises(ValueError):
-        L._square_count(45)[0] = 0
     assert L.xi_bruteforce(45, 7) == Fraction(8, 9)
 
 
@@ -172,6 +203,12 @@ def test_xi_extremes_growth():
     assert values[-1] > 2.0  # q = 4 * 3 * 7 * 11 * 19 * 23 reaches 3.65
     small = [float(L.xi_extremes(10**k, "small").xi_value) for k in (2, 4, 6)]
     assert all(b <= a for a, b in zip(small, small[1:]))
+
+
+def test_crt():
+    assert L._crt([(4, 1), (3, 2), (7, 3)]) == 17
+    with pytest.raises(ValueError, match="coprime"):
+        L._crt([(4, 1), (6, 1)])
 
 
 def test_xi_extreme_consistency():

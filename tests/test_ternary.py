@@ -220,6 +220,17 @@ def test_parseval_gate():
     assert abs(ratio - exact) / exact < 0.01
 
 
+def test_lq_moment_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    seq = T.wtrick_build(10**4, 1)
+    grid = 4 * seq.N
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 40 * grid)
+    T.lq_moment(seq, 2.5, grid)  # 40 bytes per grid point fit
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 40 * grid - 1)
+    forbid_alloc()
+    with pytest.raises(P.CapacityError):
+        T.lq_moment(seq, 2.5, grid)
+
+
 def test_lq_moment_constant_sequence():
     N = 1000
     const = T.WTrickedSequence(x=N, w=0.0, W=1, b=1, N=N, values=np.ones(N + 1))
