@@ -181,6 +181,8 @@ def _dispatch(args) -> int:
     if cmd == "enumerate":
         from .primes import fi_primes_upto
 
+        if args.limit < 0:
+            raise ValueError(f"--limit must be >= 0, got {args.limit}")
         fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir).tolist()
         if args.csv:
             sys.stdout.write("p\n" + "".join(f"{p}\n" for p in fi))
@@ -333,10 +335,14 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "lq":
-        from .ternary import lq_moment, wtrick_build
+        from .ternary import check_lq_grid, lq_moment, w_from_threshold, wtrick_build
 
+        if args.x < 2:
+            raise ValueError(f"--x must be >= 2, got {args.x}")
+        # the grid's bytes are known from W alone, so check them before the build
+        grid = args.grid or 4 * (args.x // w_from_threshold(args.x, args.w_override)[1])
+        check_lq_grid(grid)
         seq = wtrick_build(args.x, args.b, w_override=args.w_override)
-        grid = args.grid or 4 * seq.N
         ratio = lq_moment(seq, args.q, grid)
         _emit({"x": args.x, "q": args.q, "W": seq.W, "b": seq.b, "N": seq.N,
                "grid": grid, "moment_ratio": ratio, "mean": seq.mean},

@@ -31,6 +31,7 @@ import numpy as np
 
 from .buchstab import rough_indicator
 from .primes import (
+    check_bytes,
     distinct_prime_factors,
     factorize,
     fi_decompositions,
@@ -336,7 +337,14 @@ class MajorantTable:
 
 
 def majorant_table(x: int, params: Optional[MajorantParams] = None) -> MajorantTable:
-    """Vectorised Lambda_plus over all n <= x via (k, l) pair iteration."""
+    """Vectorised Lambda_plus over all n <= x via (k, l) pair iteration.
+
+    Six float64 tables of x + 1 stay alive (s1, s2 and s3 are rows of one
+    block with the error sum) and the Mangoldt table and sum temporaries
+    come and go: 58 bytes per integer are checked before allocating
+    (tracemalloc peak: 57.96 at x = 10^5, 56.87 at 10^6, 56.60 at 10^7).
+    """
+    check_bytes(58 * (x + 1), f"majorant table to {x}")
     params = params or MajorantParams(x=x)
     ev = MajorantEvaluator(params)
     s1, s2, s3, se2 = sums = np.zeros((4, x + 1))

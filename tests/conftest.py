@@ -4,6 +4,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from fiprimes.buchstab import buchstab_B
 from fiprimes.primes import (
     _prime_power_arrays,
     fi_pairs,
@@ -94,6 +95,27 @@ def spf_factorize(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
             e += 1
         out.append((p, e))
     return out
+
+
+def c3_midpoint_rows(xi1: float, xi: float, n: int) -> float:
+    """Oracle for ``constants._c3_midpoint``: the midpoint rule row by row.
+
+    For each b1 it evaluates the integrand on the whole (n - i) x n
+    rectangle of (b2, b3) with b2 >= b1 and zeroes the cells with b2 > b3
+    by a mask; the product's triangle kernel must match it bit for bit.
+    """
+    h = (xi - xi1) / n
+    mids = xi1 + (np.arange(n) + 0.5) * h
+    total = 0.0
+    for i in range(n):
+        b1 = mids[i]
+        b2 = mids[i:, None]
+        b3 = mids[None, :]
+        u = (1.0 - b1 - b2 - b3) / b1
+        vals = np.where(b2 <= b3, 1.0, 0.0)
+        vals *= buchstab_B(u) / (b1 * b1 * b2 * b3)
+        total += float(vals.sum())
+    return total * h**3
 
 
 @pytest.fixture(scope="session")

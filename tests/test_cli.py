@@ -232,6 +232,29 @@ def test_lq_over_the_byte_budget_exits_1(capsys):
     assert err.startswith("error: L^q grid of 1000000000 points needs 40000000000 bytes")
 
 
+def test_lq_checks_the_grid_bytes_before_building_the_sequence(capsys, monkeypatch):
+    from fiprimes import ternary
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the sequence before the byte check")
+
+    monkeypatch.setattr(ternary, "wtrick_build", no_build)
+    code, out, err = run_cli(capsys, "lq", "--x", "1e4", "--grid", "1e9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: L^q grid of 1000000000 points needs 40000000000 bytes")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("enumerate --limit -300 --json", "error: --limit must be >= 0, got -300\n"),
+    ("lq --x -5", "error: --x must be >= 2, got -5\n"),
+    ("lq --x 1", "error: --x must be >= 2, got 1\n"),
+])
+def test_negative_sizes_exit_1(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (1, "", message)
+
+
 @pytest.mark.parametrize("short, plain", [
     ("lq --x 1e5 --json", "lq --x 100000 --json"),
     ("enumerate --limit 1e3", "enumerate --limit 1000"),

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from conftest import c3_midpoint_rows
 from fiprimes import constants as C
 from fiprimes.quadrature import adaptive_simpson
 
@@ -105,6 +106,29 @@ def test_c3_against_reduction_oracle():
     assert C.c3_bound().value == pytest.approx(oracle, abs=3e-5)
 
 
+C3_PAIRS = [(xi1, 0.265) for xi1 in (0.15, 0.16, 1 / 6, 0.17, 0.183, 0.193)] + [
+    (0.1, 0.3),  # u reaches past 3: B from the Buchstab table
+    (0.2, 0.2 + 1e-9),  # zero volume
+]
+
+
+@pytest.mark.parametrize("xi1, xi", C3_PAIRS)
+def test_c3_triangle_kernel_matches_masked_rows_bit_for_bit(xi1, xi):
+    for n in (1, 2, 3, 32, 64, 128, 256):
+        assert C._c3_midpoint(xi1, xi, n) == c3_midpoint_rows(xi1, xi, n), n
+
+
+@pytest.mark.parametrize("xi1, c3_hex", [
+    (0.15, "0x1.9ead80af086a3p-3"),
+    (0.16, "0x1.13ef1bfad1fd0p-3"),
+    (1 / 6, "0x1.a218ab5cbf5e4p-4"),
+    (0.17, "0x1.6b5311b91636ap-4"),
+    (0.183, "0x1.a2a1ca9a733bap-5"),
+])
+def test_c3_bound_pinned(xi1, c3_hex):
+    assert C.c3_bound(xi1=xi1).value.hex() == c3_hex
+
+
 def test_c3_grid_stability():
     coarse = C.c3_bound(start_grid=64, max_grid=256, tol=1e-5)
     fine = C.c3_bound(start_grid=128, max_grid=512, tol=1e-5)
@@ -131,6 +155,20 @@ def test_alpha_plus_monotonicity_probe():
 def test_alpha_plus_band_violation_raises():
     with pytest.raises(C.BandViolation):
         C.alpha_plus(xi1=0.16)
+
+
+def test_alpha_plus_repeated_call_shares_the_pinned_result():
+    first = C.alpha_plus()
+    assert first.value.hex() == "0x1.7ca72f184d56fp+1"  # 2.9738520497000347
+    assert C.alpha_plus() is first
+
+
+def test_alpha_plus_band_violation_is_raised_on_every_call():
+    for _ in range(3):
+        misses = C.alpha_plus.cache_info().misses
+        with pytest.raises(C.BandViolation):
+            C.alpha_plus(xi1=0.16)
+        assert C.alpha_plus.cache_info().misses == misses + 1  # computed again, not cached
 
 
 def test_adaptive_simpson_polynomial():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fiprimes import sieve as S
+from fiprimes import primes as P, sieve as S
 from fiprimes.primes import (
     distinct_prime_factors,
     factorize,
@@ -173,6 +173,16 @@ def test_majorization_exhaustive_small():
     table = S.majorant_table(x, params)
     ll = lambda_lambda_table(x)
     assert not np.any(ll > table.lam_plus + 1e-9)
+
+
+def test_majorant_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    x = 10**4
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 58 * (x + 1))
+    S.majorant_table(x)  # 58 bytes per integer fit
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 58 * (x + 1) - 1)
+    forbid_alloc()
+    with pytest.raises(P.CapacityError, match=f"majorant table to {x} needs"):
+        S.majorant_table(x)
 
 
 def test_majorant_error_sum_band():

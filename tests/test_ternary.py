@@ -147,6 +147,20 @@ def test_3ap_structure():
         assert {a, b, c} <= fi
 
 
+def test_3ap_over_the_byte_budget_raises(monkeypatch, forbid_alloc):
+    # X + 1 bytes of membership, then 160 bytes for each of the 344 APs to 2000
+    edge = 2001 + 160 * 344
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", edge)
+    assert len(T.find_3aps(2000)) == 344
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", edge - 1)
+    with pytest.raises(P.CapacityError, match="344 3APs to 2000 needs"):
+        T.find_3aps(2000)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 2000)
+    forbid_alloc()
+    with pytest.raises(P.CapacityError, match="3AP membership table to 2000 needs"):
+        T.find_3aps(2000)
+
+
 def test_w_threshold():
     w, W = T.w_from_threshold(10**8)
     assert w == pytest.approx(0.1 * math.log(math.log(10**8)))
