@@ -42,6 +42,66 @@ def _write_lines(lines: Iterable[str]) -> None:
         sys.stdout.write(batch)
 
 
+_INT_CHUNK = 1 << 16
+# the least value of each digit count from 2 to 19 (int64 tops out at 19 digits)
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# entry r holds the two ASCII digits of r, "00" to "99", as one 2-byte cell
+_DIGIT_PAIRS = np.frombuffer("".join(f"{r:02d}" for r in range(100)).encode("ascii"),
+                             dtype=np.uint16)
+
+
+def _write_ints(a: np.ndarray, sep: str) -> None:
+    """Write ``sep.join(map(str, a))`` to stdout without a Python int per entry.
+
+    ``a`` is a non-negative, non-decreasing int64 array.  It is formatted
+    2^16 entries at a time.  Sorted entries with the same number of digits d
+    are a contiguous run of the chunk (``np.searchsorted`` on the powers of
+    ten), and each run fills a byte matrix with one row per entry: the
+    separator, then the digits, two at a time from the right by
+    ``np.divmod(v, 100)`` and the "00".."99" table, and the leading digit of
+    an odd d last.  The leading digit of a d-digit number is never 0, so each
+    row reads exactly ``sep + str(v)``, and the output is the join that
+    ``json.dumps`` (with sep ", ") and the text and CSV lines (with sep
+    "\\n") printed; the first entry's separator is dropped.  Memory is bounded
+    by the chunk, not by ``a``: its rows (at most len(sep) + 20 bytes each)
+    and their copies as bytes and str, and three int64 temporaries, under
+    10 MB in all.
+
+    A chunk that descends, does not continue the previous chunk in order,
+    or starts below 0 raises ``ValueError``, so an unsorted or negative
+    entry fails loudly instead of printing a wrong digit count.
+    """
+    head = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    last = 0
+    for start in range(0, len(a), _INT_CHUNK):
+        c = a[start:start + _INT_CHUNK]
+        if c[0] < last or np.any(c[1:] < c[:-1]):
+            raise ValueError("_write_ints needs a non-negative, non-decreasing array")
+        last = c[-1]
+        edges = [0, *np.searchsorted(c, _POW10).tolist(), len(c)]
+        parts = []
+        for d, (lo, hi) in enumerate(itertools.pairwise(edges), start=1):
+            if lo == hi:
+                continue
+            # an even row width, so that the digit pairs, written from the
+            # right end, are aligned 2-byte cells; an odd row gets a pad byte
+            # in front, which is cut off
+            w = len(head) + d
+            m = np.empty((hi - lo, w + w % 2), dtype=np.uint8)
+            cells = m.view(np.uint16)
+            v = c[lo:hi]
+            for j in range(1, d // 2 + 1):
+                v, r = np.divmod(v, 100)
+                cells[:, -j] = _DIGIT_PAIRS[r]
+            row = m[:, w % 2:]
+            row[:, :len(head)] = head
+            if d % 2:
+                row[:, len(head)] = v + ord("0")
+            parts.append(row.tobytes())
+        text = b"".join(parts).decode("ascii")
+        sys.stdout.write(text[len(head):] if start == 0 else text)
+
+
 def _int_arg(s: str) -> int:
     """An integer flag value: an integer literal, or an integer times a power
     of ten written as 1e7.  Non-integral forms (1.5e3, 1e-3, nan, inf) are
@@ -183,13 +243,16 @@ def _dispatch(args) -> int:
 
         if args.limit < 0:
             raise ValueError(f"--limit must be >= 0, got {args.limit}")
-        fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir).tolist()
-        if args.csv:
-            sys.stdout.write("p\n" + "".join(f"{p}\n" for p in fi))
-        elif args.json:
-            _emit({"limit": args.limit, "count": len(fi), "primes": fi}, True, [])
+        fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir)
+        if args.json:
+            head = json.dumps({"schema": SCHEMA, "limit": args.limit, "count": len(fi), "primes": []})
+            sys.stdout.write(head[:-2])
+            _write_ints(fi, ", ")
+            sys.stdout.write("]}\n")
         else:
-            sys.stdout.write("".join(f"{p}\n" for p in fi) + f"# count: {len(fi)}\n")
+            sys.stdout.write("p\n" if args.csv else "")
+            _write_ints(fi, "\n")
+            sys.stdout.write(("\n" if len(fi) else "") + ("" if args.csv else f"# count: {len(fi)}\n"))
         return 0
 
     if cmd == "xi":
@@ -214,6 +277,8 @@ def _dispatch(args) -> int:
     if cmd == "rough":
         from .buchstab import rough_count
 
+        if not 2 <= args.z <= args.limit:
+            raise ValueError(f"need 2 <= --z <= --limit, got --z {args.z} and --limit {args.limit}")
         rc = rough_count(args.limit, args.z)
         ratio = rc.exact / rc.predicted if rc.predicted else float("nan")
         _emit(
@@ -292,6 +357,8 @@ def _dispatch(args) -> int:
         from .primes import fi_primes_upto
         from .ternary import scan_exceptions, smallest_witnesses
 
+        if args.limit < 3:
+            raise ValueError(f"--limit must be >= 3, got {args.limit}")
         fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir)
         if args.exceptions_only:
             exceptions = scan_exceptions(args.limit, fi=fi).tolist()
@@ -322,6 +389,8 @@ def _dispatch(args) -> int:
     if cmd == "3ap":
         from .ternary import find_3aps
 
+        if args.limit < 5:
+            raise ValueError(f"--limit must be >= 5, got {args.limit}")
         aps = find_3aps(args.limit)
         if args.csv:
             print("p,mid,third")

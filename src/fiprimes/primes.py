@@ -305,11 +305,6 @@ def fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> list[FiDeco
     with l^2 >= n.  As in ``fi_pairs`` it defaults to the primes, so the
     result is the FI decompositions of n sorted by l.
     """
-    return list(_iter_fi_decompositions(n, ls))
-
-
-def _iter_fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> Iterator[FiDecomposition]:
-    """The loop behind ``fi_decompositions``, lazily, so a caller can stop at the first."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if ls is None:
@@ -317,20 +312,34 @@ def _iter_fi_decompositions(n: int, ls: Optional[Iterable[int]] = None) -> Itera
         # roots of many n share a few cached tables; rem < 1 ends the loop
         # there.  tolist() costs less than one int() per visited l.
         ls = primes_upto(1 << (math.isqrt(n - 1) - 1).bit_length()).tolist()
+    out = []
     for l in ls:
         rem = n - l * l
         if rem < 1:
-            return
+            break
         k = math.isqrt(rem)
         if k * k == rem:
-            yield FiDecomposition(k=k, l=l)
+            out.append(FiDecomposition(k=k, l=l))
+    return out
 
 
 def is_fi_prime(p: int) -> bool:
-    """True iff p is prime and has a representation k^2 + l^2, l prime, k >= 1."""
-    if p < 5 or not is_prime_int(p):
+    """True iff p is prime and has a representation k^2 + l^2, l prime, k >= 1.
+
+    A prime p = 1 (mod 4) is a^2 + b^2 with a > b > 0 in exactly one way,
+    so it is an FI prime iff a or b is prime.  A prime p = 3 (mod 4) is no
+    sum of two squares, and 2 = 1 + 1 has no prime part.  Brillhart's
+    step ("Note on representing a prime as a sum of two squares", Math. Comp.
+    26, 1972) finds them: run Euclid's algorithm on p and a root s of
+    s^2 = -1 (mod p); the first two remainders below sqrt(p) are a and b.
+    """
+    if p % 4 != 1 or not is_prime_int(p):
         return False
-    return next(_iter_fi_decompositions(p), None) is not None
+    root = math.isqrt(p)
+    a, b = p, _sqrt_minus_one(p)
+    while b > root:
+        a, b = b, a % b
+    return is_prime_int(b) or is_prime_int(a % b)
 
 
 def lambda_lambda(n: int) -> float:
@@ -644,7 +653,9 @@ def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
     if len(body) != 8 * count or zlib.crc32(body) != crc:
         return None
     arr = np.frombuffer(body, dtype="<i8")
-    if len(arr) and (np.any(np.diff(arr) <= 0) or arr[-1] > cache_limit or arr[0] < 5):
+    # arr[1:] <= arr[:-1] is a bool temporary, 1 byte per entry, where
+    # np.diff would hold 8
+    if len(arr) and (np.any(arr[1:] <= arr[:-1]) or arr[-1] > cache_limit or arr[0] < 5):
         return None
     return cache_limit, arr
 

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fiprimes.cli import main
+from fiprimes.cli import _write_ints, main
 from fiprimes.primes import fi_primes_upto
 from fiprimes.ternary import find_representation
 
@@ -248,6 +251,9 @@ def test_lq_checks_the_grid_bytes_before_building_the_sequence(capsys, monkeypat
 @pytest.mark.parametrize("argv, message", [
     ("enumerate --limit -300 --json", "error: --limit must be >= 0, got -300\n"),
     ("lq --x -5", "error: --x must be >= 2, got -5\n"),
+    ("verify-ternary --limit -5", "error: --limit must be >= 3, got -5\n"),
+    ("3ap --limit -5", "error: --limit must be >= 5, got -5\n"),
+    ("rough --limit -5 --z 3", "error: need 2 <= --z <= --limit, got --z 3.0 and --limit -5\n"),
     ("lq --x 1", "error: --x must be >= 2, got 1\n"),
 ])
 def test_negative_sizes_exit_1(argv, message, capsys):
@@ -325,3 +331,65 @@ def test_expsum_dfi_default_flags(capsys):
 def test_enumerate_csv(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--limit", "30", "--csv")
     assert out.splitlines() == ["p", "5", "13", "29"]
+
+
+@pytest.fixture(scope="module")
+def fi_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fi-cache"))
+
+
+@pytest.mark.parametrize("mode, sha1", [
+    ("--json", "82f98b64c39253f6f24748bbb9e751a11e72c418"),
+    ("--csv", "b8c086ff222ad5cb2d0d568f12dce2408a8a8aa0"),
+    (None, "6481eb8d6c989d5f5d261f2d3e5607732af2e60a"),
+])
+def test_enumerate_output_pinned(mode, sha1, fi_cache, capsys):
+    # 105,194 FI primes to 1e7: two 2^16 chunks of the writer, digit counts 1 to 7
+    argv = ["enumerate", "--limit", "1e7", "--cache-dir", fi_cache] + ([mode] if mode else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def _ints_written(a, sep):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_ints(a, sep)
+    return buf.getvalue()
+
+
+# every digit count's first and last value, and the int64 maximum
+_DIGIT_EDGES = sorted({0, 2**63 - 1, *(10**k for k in range(19)), *(10**k - 1 for k in range(1, 19))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**63 - 1)), st.sampled_from([", ", "\n"]))
+@example([], ", ")
+@example([7], "\n")
+@example(_DIGIT_EDGES, ", ")
+@example(_DIGIT_EDGES, "\n")
+@example([5, 5, 13], ", ")
+def test_write_ints_is_the_join_of_str(values, sep):
+    a = np.array(sorted(values), dtype=np.int64)
+    assert _ints_written(a, sep) == sep.join(map(str, a.tolist()))
+
+
+@pytest.mark.parametrize("sep", [", ", "\n"])
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+def test_write_ints_across_the_chunk_edge(n, sep):
+    # log-uniform values, so that a chunk holds runs of many digit counts
+    rng = np.random.default_rng(n)
+    a = np.sort((10.0 ** rng.uniform(0.0, 18.9, n)).astype(np.int64))
+    assert _ints_written(a, sep) == sep.join(map(str, a.tolist()))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([13, 5]),
+    np.array([-1, 5]),
+    np.array([-7]),
+    # each chunk ascends, but the second starts below the end of the first
+    np.concatenate((np.arange(1, 2**16 + 1), [0])),
+])
+def test_write_ints_refuses_descending_or_negative_input(a):
+    with pytest.raises(ValueError, match="non-negative, non-decreasing"):
+        _ints_written(a.astype(np.int64), ", ")

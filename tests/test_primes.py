@@ -126,6 +126,17 @@ def test_is_fi_prime_against_decompositions():
         assert P.is_fi_prime(n) == (n in primes and bool(P.fi_decompositions(n))), n
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=3 * 10**9))
+@example(2)
+@example(5)
+@example(2_999_999_777)  # an FI prime: 49964^2 + 22441^2
+def test_is_fi_prime_at_random_primes(n):
+    # the first prime >= n; prime gaps below 3e9 are under 300
+    p = next(m for m in range(n, n + 400) if P.is_prime_int(m))
+    assert P.is_fi_prime(p) == bool(P.fi_decompositions(p)), p
+
+
 def test_fi_decompositions_over_all_integers():
     for n in range(1, 2001):
         roots = range(1, math.isqrt(n) + 1)
