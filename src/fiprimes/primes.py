@@ -53,7 +53,6 @@ class CapacityError(ValueError):
     """A request exceeds the configured memory/size caps."""
 
 
-MAX_COUNT_X = 2 * 10**9        # cap for fi_weighted_count
 MAX_TABLE_BYTES = 2 * 10**9    # budget for the arrays of one bulk table
 
 
@@ -556,8 +555,6 @@ def fi_weighted_count(x: int) -> FiCountResult:
 
     if x < 2:
         raise ValueError("x must be >= 2")
-    if x > MAX_COUNT_X:
-        raise CapacityError(f"x={x} exceeds cap {MAX_COUNT_X}")
     check_bytes(_row_sieve_bytes(x)[1], f"weighted count to {x}")
     pp_keys, pp_vals = _prime_power_arrays(x)
     total = 0.0
@@ -598,8 +595,8 @@ def fi_primes_upto(limit: int, cache_dir: Optional[str | Path] = None) -> np.nda
     """Sorted array of all FI primes <= limit.
 
     When a cache directory is given (or set via the FI_CACHE_DIR environment
-    variable) the table is loaded from disk if a valid cache with a
-    sufficient limit exists, and regenerated otherwise.
+    variable), a valid cache with a sufficient limit answers with a
+    read-only view of its table; otherwise the table is computed and cached.
     """
     if limit < 5:
         return np.array([], dtype=np.int64)
@@ -610,7 +607,7 @@ def fi_primes_upto(limit: int, cache_dir: Optional[str | Path] = None) -> np.nda
         if cached is not None:
             cache_limit, arr = cached
             if cache_limit >= limit:
-                return arr[arr <= limit]
+                return arr[: np.searchsorted(arr, limit, side="right")]
         arr = _compute_fi_primes(limit)
         _write_cache(path, limit, arr)
         return arr

@@ -5,12 +5,12 @@ here confirm that beyond a small threshold every x = 3 (4) in range is such
 a sum, enumerate the exceptions, and list three-term arithmetic progressions
 inside the FI primes.  The scan indexes an FI prime p = 4i + 1 by i, so a
 sum of two FI primes is 4m + 2 and a sum of three is 4m + 3 with m the sum
-of their indices.  The scan to X computes the two-sum indicator on about
-X/4 indices with one exact FFT convolution, then sweeps p1 over the FI
-primes in increasing order, resolving every open x with x - p1 a two-sum.
-The first p1 that resolves x is the smallest element of a representation:
-had x - p1 = a + b with a < p1, then a would have resolved x earlier.  A
-second sweep over p2 gives each x the same witness as the point query
+of their indices.  The scan to X sweeps the FI primes in increasing order
+over about X/4 indices, resolving each open target whose remainder is in a
+bitmap: the FI bitmap gives the two-sum bitmap, which gives each x its
+smallest p1.  The first p1 that resolves x is the smallest element of a
+representation: had x - p1 = a + b with a < p1, a would have resolved x
+earlier.  A sweep over p2 gives each x the witness of the point query
 ``find_representation``, which binary-searches the sorted table instead.
 
 The W-tricked sequence normalises LL on a residue class b mod W so its mean
@@ -114,12 +114,10 @@ def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]
 def scan_exceptions(X: int, fi: Optional[np.ndarray] = None) -> np.ndarray:
     """All x = 3 (4), x <= X, that are not a sum of three FI primes.
 
-    With M = (X - 3) // 4, the FI primes p <= 4M + 1 give a 0/1 indicator on
-    their index (p - 1) / 4 in [0, M].  One exact 0/1 convolution marks the
-    indices m with 4m + 2 a sum of two FI primes; the smallest-element
-    sweep (``_first_parts``) then finds the x = 4m + 3 that stay
-    unresolved.  A caller-supplied ``fi`` must hold only 1 (mod 4) entries;
-    anything else raises ValueError.
+    With M = (X - 3) // 4, the FI primes p <= 4M + 1 give a bitmap on their
+    index (p - 1) / 4 in [0, M]; two sweeps (``_smallest_p1``) find the
+    x = 4m + 3 that stay unresolved.  A caller-supplied ``fi`` must hold
+    only 1 (mod 4) entries; anything else raises ValueError.
     """
     _, i1 = _smallest_p1(X, fi)
     return 4 * np.flatnonzero(i1 < 0) + 3
@@ -146,32 +144,53 @@ def smallest_witnesses(X: int, fi: Optional[np.ndarray] = None) -> tuple[np.ndar
     return np.where(found, 4 * i1 + 1, 0), np.where(found, 4 * i2 + 1, 0)
 
 
+DENSE_PARTS = 32  # the parts ``_sweep`` runs on bool arrays over the whole range
+
+
 def _smallest_p1(X: int, fi: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(in_fi, i1): the FI bitmap on [0, M] and, for each m, the index of
     the smallest p1 in any representation of 4m + 3 (-1 if there is none).
 
-    The sweep visits the FI indices i in increasing order and resolves
-    every open m with two[m - i].  The first hit is the smallest element of
-    a representation: if 4m + 3 - p = a + b with a < p, then a would have
-    hit earlier.  Only p <= x/3, i.e. m >= 3i, can be a smallest element.
+    A sweep with k = 2 against ``in_fi`` gives the two-sum bitmap, and one
+    with k = 3 against that gives i1: integer indices and bool lookups, so
+    exact.  64 bytes per index are checked before allocating (tracemalloc
+    peak per index at X = 10^6 and 10^7, table given: 26.8 and 28.4 in
+    ``scan_exceptions``, 57.1 and 52.7 in ``smallest_witnesses``).
     """
     if X < 3:
         raise ValueError("X must be >= 3")
     M = (X - 3) // 4
-    size = 1 << (2 * M).bit_length()  # >= 2M + 1: no wrap-around onto [0, M]
-    # in_fi and two, then the larger of two phases that never overlap: the
-    # FFTs (padded float64 input, spectrum, output and pocketfft's work
-    # buffers; peak RSS grows by 31 bytes per point at size 2^23 and 2^25),
-    # or the sweeps' arrays and temporaries (at most 10 int64 of M + 1)
-    check_bytes(2 * (M + 1) + max(32 * size, 80 * (M + 1)), f"ternary scan to {X}")
+    check_bytes(64 * (M + 1), f"ternary scan to {X}")
     if fi is None:
         fi = fi_primes_upto(X)
     _check_residues(fi)
     idx = fi >> 2
     in_fi = np.zeros(M + 1, dtype=bool)
     in_fi[idx[idx <= M]] = True
-    two = _sumset_indicator(in_fi, M, size)
-    return in_fi, _first_parts(np.arange(M + 1), np.flatnonzero(in_fi), two, 3)
+    parts = np.flatnonzero(in_fi)
+    two = _sweep(parts, in_fi, 2) >= 0
+    return in_fi, _sweep(parts, two, 3)
+
+
+def _sweep(parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """``_first_parts(np.arange(len(table)), parts, table, k)``, entry for entry.
+
+    For each of the first ``DENSE_PARTS`` parts s, the open targets from
+    k s on and their table[t - s] are two aligned bool slices.  The targets
+    still open then go to ``_first_parts`` with the remaining parts.
+    """
+    n = len(table)
+    first = np.full(n, -1, dtype=np.int64)
+    open_ = np.ones(n, dtype=bool)
+    for s in parts[:DENSE_PARTS].tolist():
+        hit = open_[k * s :] & table[(k - 1) * s : n - s]
+        first[k * s :][hit] = s
+        open_[k * s :] ^= hit  # hit is within open_
+    rest = np.flatnonzero(open_)
+    del open_
+    if len(rest):
+        first[rest] = _first_parts(rest, parts[DENSE_PARTS:], table, k)[rest]
+    return first
 
 
 def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
@@ -182,6 +201,11 @@ def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: i
     has length max(targets) + 1 and is -1 off the targets.  Each step reads
     only the targets still open, and drops those below k s, since no later
     part can serve them; the loop ends when none is left.
+
+    The cost has no a priori bound: a target t that no part serves is read
+    for every part up to t / k.  For k = 2 on the FI bitmap to X = 10^7, 30
+    indices are no two-sum (the largest 4m + 2 is 7,118), and the largest
+    smallest part is p = 63,901 (33,721 at 10^6).
     """
     first = np.full(int(targets[-1]) + 1, -1, dtype=np.int64)
     for s in parts.tolist():
@@ -199,29 +223,6 @@ def _check_residues(fi: np.ndarray) -> None:
     bad = (fi & 3) != 1
     if np.any(bad):
         raise ValueError(f"FI primes are 1 (mod 4); got {int(fi[bad][0])}")
-
-
-def _sumset_indicator(a: np.ndarray, m: int, size: int) -> np.ndarray:
-    """Bool indicator of {i + j : a[i] = a[j] = 1}, truncated to [0, m].
-
-    ``a`` is a bool array of length m + 1 and ``size`` >= 2m + 1 the FFT
-    length.  Exactness: every entry of the true convolution is an integer
-    count of at most sum a <= len(fi).  A float64 FFT convolution of length
-    ``size`` errs by about eps * log2(size) * |a|^2 (squared 2-norm, which
-    is sum a), so at most eps * log2(size) * len(fi), about 5e-10 at X = 1e7 (the measured margin
-    there is 6e-11), far below 1/4.  Rounding therefore recovers every
-    count; the margin is checked on every call and a violation raises
-    AssertionError.
-    """
-    fa = np.fft.rfft(a, size)
-    fa *= fa
-    conv = np.fft.irfft(fa, size)[: m + 1]
-    del fa
-    err = conv - np.rint(conv)
-    margin = float(np.abs(err, out=err).max())
-    if not margin < 0.25:
-        raise AssertionError(f"FFT rounding margin {margin} >= 1/4 at size {size}")
-    return conv > 0.5
 
 
 def scan_exceptions_direct(X: int) -> np.ndarray:

@@ -61,14 +61,6 @@ def test_verify_ternary(capsys):
     assert rows[19] == {"x": 19, "status": "exception"}
 
 
-def test_verify_ternary_rounding_violation_exit_code(capsys, monkeypatch):
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
-    code, _, err = run_cli(capsys, "verify-ternary", "--limit", "100")
-    assert code == 2
-    assert "rounding margin" in err
-
-
 def test_xi_bruteforce_rounding_violation_exit_code(capsys, monkeypatch):
     from fiprimes.local import coprime_rho_row
 

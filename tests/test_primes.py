@@ -343,6 +343,15 @@ def test_fi_cache_roundtrip(tmp_path):
     assert path.read_bytes() == cache_file(500, fresh)
 
 
+def test_fi_cache_hit_is_a_read_only_view(tmp_path):
+    P.fi_primes_upto(1000, cache_dir=tmp_path)
+    for limit in (5, 12, 13, 400, 997, 1000):
+        hit = P.fi_primes_upto(limit, cache_dir=tmp_path)
+        assert np.array_equal(hit, P.fi_primes_upto(limit)), limit
+        assert not hit.flags.writeable
+        assert hit.flags.aligned  # an unaligned view halves searchsorted's speed
+
+
 def test_fi_cache_regenerates_on_corruption(tmp_path):
     P.fi_primes_upto(300, cache_dir=tmp_path)
     path = tmp_path / "fi-primes.txt"

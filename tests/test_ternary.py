@@ -59,9 +59,9 @@ def test_exceptions_monotone():
 
 
 def test_exception_strategies_agree():
-    fft = T.scan_exceptions(2 * 10**4)
+    swept = T.scan_exceptions(2 * 10**4)
     direct = T.scan_exceptions_direct(2 * 10**4)
-    assert np.array_equal(fft, direct)
+    assert np.array_equal(swept, direct)
 
 
 def test_exceptions_against_triple_loop():
@@ -116,10 +116,28 @@ def test_swept_witnesses_match_per_x_search():
     assert list(4 * np.flatnonzero(p1 == 0) + 3) == list(T.scan_exceptions(X, fi=fi))
 
 
+def test_dense_phase_matches_the_sparse_sweep():
+    # the reference is _first_parts on every target, with no dense phase
+    X = 10**6
+    M = (X - 3) // 4
+    in_fi, i1 = T._smallest_p1(X, fi_primes_upto(X))
+    parts = np.flatnonzero(in_fi)
+    targets = np.arange(M + 1)
+    first = T._first_parts(targets, parts, in_fi, 2)
+    assert np.array_equal(T._sweep(parts, in_fi, 2), first)
+    two = first >= 0
+    assert np.array_equal(i1, T._first_parts(targets, parts, two, 3))
+    # the sweep's cost figures: 30 indices are no two-sum, the largest 4m + 2
+    # of them is 7,118, and the largest smallest part is p = 33,721
+    assert np.count_nonzero(~two) == 30
+    assert 4 * np.flatnonzero(~two)[-1] + 2 == 7118
+    assert 4 * first.max() + 1 == 33721
+
+
 def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # 2 (M + 1) + max(32 size, 80 (M + 1)) bytes with M = (X - 3) // 4: X = 1023
-    # has M = 255 and size = 512, X = 1027 has M = 256 and size = 1024
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 2 * 256 + 80 * 256)
+    # 64 bytes per index m in [0, M], M = (X - 3) // 4: X = 1023 has M + 1 = 256
+    # indices, X = 1027 one more
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 64 * 256)
     assert list(T.scan_exceptions(1023)) == [3, 7, 11, 19, 27, 35, 43]
     T.smallest_witnesses(1023)
     with pytest.raises(P.CapacityError):
