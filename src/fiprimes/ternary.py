@@ -5,12 +5,12 @@ here confirm that beyond a small threshold every x = 3 (4) in range is such
 a sum, enumerate the exceptions, and list three-term arithmetic progressions
 inside the FI primes.  The scan indexes an FI prime p = 4i + 1 by i, so a
 sum of two FI primes is 4m + 2 and a sum of three is 4m + 3 with m the sum
-of their indices.  The scan to X sweeps the FI primes in increasing order
-over about X/4 indices, resolving each open target whose remainder is in a
-bitmap: the FI bitmap gives the two-sum bitmap, which gives each x its
-smallest p1.  The first p1 that resolves x is the smallest element of a
-representation: had x - p1 = a + b with a < p1, a would have resolved x
-earlier.  A sweep over p2 gives each x the witness of the point query
+of their indices.  The exception scan to X builds bitmaps only, over about
+X/4 indices: the FI bitmap gives the two-sum bitmap, and that the three-sum
+bitmap.  The witnesses keep first parts: a sweep of the FI primes in
+increasing order against the two-sum bitmap gives each x its smallest p1,
+since had x - p1 = a + b with a < p1, a would have resolved x earlier; a
+sweep over p2 then gives each x the witness of the point query
 ``find_representation``, which binary-searches the sorted table instead.
 
 The W-tricked sequence normalises LL on a residue class b mod W so its mean
@@ -114,107 +114,106 @@ def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]
 def scan_exceptions(X: int, fi: Optional[np.ndarray] = None) -> np.ndarray:
     """All x = 3 (4), x <= X, that are not a sum of three FI primes.
 
-    With M = (X - 3) // 4, the FI primes p <= 4M + 1 give a bitmap on their
-    index (p - 1) / 4 in [0, M]; two sweeps (``_smallest_p1``) find the
-    x = 4m + 3 that stay unresolved.  A caller-supplied ``fi`` must hold
-    only 1 (mod 4) entries; anything else raises ValueError.
+    With M = (X - 3) // 4, ``_covered`` on the FI bitmap on [0, M] (k = 2)
+    gives the two-sum bitmap, and on that (k = 3) the m with 4m + 3 a sum of
+    three.  Only bitmaps are built: 6 bytes per index are checked before
+    allocating (tracemalloc peak per index at X = 10^4 to 10^8, table given:
+    5.80, 4.75, 4.48, 4.34, 4.25).  A caller-supplied ``fi`` must hold only
+    1 (mod 4) entries; anything else raises ValueError.
     """
-    _, i1 = _smallest_p1(X, fi)
-    return 4 * np.flatnonzero(i1 < 0) + 3
+    in_fi, parts = _fi_bitmap(X, fi, 6)
+    return 4 * np.flatnonzero(~_covered(parts, _covered(parts, in_fi, 2), 3)) + 3
 
 
 def smallest_witnesses(X: int, fi: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """(p1, p2) of ``find_representation(x)`` for every x = 4m + 3 <= X, indexed by m.
 
-    Both are 0 where x is an exception; p3 = x - p1 - p2.  The p1 come from
-    the sweep of ``scan_exceptions``.  For each p1, a second sweep over p2
-    in increasing order against the FI bitmap finds the smallest p2 with
-    x - p1 - p2 an FI prime.  Every split x - p1 = a + b has a, b >= p1,
-    since p1 is the smallest element of any representation of x, and a
-    partner below p2 would have been hit first; so p1 <= p2 <= p3 holds
-    without being imposed.
+    Both are 0 where x is an exception; p3 = x - p1 - p2.  ``_first_parts``
+    against the two-sum bitmap gives each x its smallest p1.  For each p1, a
+    second sweep over p2 in increasing order against the FI bitmap finds the
+    smallest p2 with x - p1 - p2 an FI prime.  Every split x - p1 = a + b
+    has a, b >= p1, since p1 is the smallest element of any representation
+    of x, and a partner below p2 would have been hit first; so p1 <= p2 <= p3
+    holds without being imposed.  40 bytes per index are checked before
+    allocating (tracemalloc peak per index at X = 10^4 to 10^8, table given:
+    38.7, 33.5, 34.0, 34.3, 34.4).
     """
-    in_fi, i1 = _smallest_p1(X, fi)
-    idx = np.flatnonzero(in_fi)
-    i2 = np.full(len(i1), -1, dtype=np.int64)
-    for s in np.unique(i1[i1 >= 0]).tolist():
-        ts = np.flatnonzero(i1 == s) - s  # x - p1 = 4t + 2
-        i2[ts + s] = _first_parts(ts, idx[np.searchsorted(idx, s) :], in_fi, 2)[ts]
-    found = i1 >= 0
-    return np.where(found, 4 * i1 + 1, 0), np.where(found, 4 * i2 + 1, 0)
+    in_fi, parts = _fi_bitmap(X, fi, 40)
+    n = len(in_fi)
+    dtype = np.int32 if n < 2**31 else np.int64
+    i1 = _first_parts(np.arange(n, dtype=dtype), parts, _covered(parts, in_fi, 2), 3)
+    i2 = np.full(n, -1, dtype=dtype)
+    for s in parts[: np.searchsorted(parts, i1.max(), side="right")].tolist():
+        ts = (np.flatnonzero(i1 == s) - s).astype(dtype)  # x - p1 = 4t + 2
+        i2[ts + s] = _first_parts(ts, parts[np.searchsorted(parts, s) :], in_fi, 2)
+    # p = 4i + 1 and 0 for i = -1, one array at a time
+    return tuple(np.maximum(4 * i.astype(np.int64) + 1, 0) for i in (i1, i2))
 
 
-DENSE_PARTS = 32  # the parts ``_sweep`` runs on bool arrays over the whole range
-
-
-def _smallest_p1(X: int, fi: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(in_fi, i1): the FI bitmap on [0, M] and, for each m, the index of
-    the smallest p1 in any representation of 4m + 3 (-1 if there is none).
-
-    A sweep with k = 2 against ``in_fi`` gives the two-sum bitmap, and one
-    with k = 3 against that gives i1: integer indices and bool lookups, so
-    exact.  64 bytes per index are checked before allocating (tracemalloc
-    peak per index at X = 10^6 and 10^7, table given: 26.8 and 28.4 in
-    ``scan_exceptions``, 57.1 and 52.7 in ``smallest_witnesses``).
-    """
+def _fi_bitmap(X: int, fi: Optional[np.ndarray], per_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(in_fi, its set indices): the FI primes p <= 4M + 1, M = (X - 3) // 4,
+    on their index (p - 1) / 4, once ``per_index`` bytes per index are checked."""
     if X < 3:
         raise ValueError("X must be >= 3")
     M = (X - 3) // 4
-    check_bytes(64 * (M + 1), f"ternary scan to {X}")
+    check_bytes(per_index * (M + 1), f"ternary scan to {X}")
     if fi is None:
         fi = fi_primes_upto(X)
     _check_residues(fi)
     idx = fi >> 2
     in_fi = np.zeros(M + 1, dtype=bool)
     in_fi[idx[idx <= M]] = True
-    parts = np.flatnonzero(in_fi)
-    two = _sweep(parts, in_fi, 2) >= 0
-    return in_fi, _sweep(parts, two, 3)
+    return in_fi, np.flatnonzero(in_fi)
 
 
-def _sweep(parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
-    """``_first_parts(np.arange(len(table)), parts, table, k)``, entry for entry.
+def _covered(parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """Whether table[t - s] for some s in ``parts`` (ascending) with k s <= t,
+    for each t in [0, len(table)): exact, from indices and bool lookups.
 
-    For each of the first ``DENSE_PARTS`` parts s, the open targets from
-    k s on and their table[t - s] are two aligned bool slices.  The targets
-    still open then go to ``_first_parts`` with the remaining parts.
+    The first parts run on aligned bool slices over the whole range.  Once
+    under 1/32 of the targets are open (checked every 8 parts), a loop reads
+    only those, as int32 (int64 from 2^31), and drops the ones below k s.
+    Its cost has no a priori bound: a target t that no part serves is read
+    for every part up to t / k.  For k = 2 on the FI bitmap to X = 10^7 and
+    10^8, 30 indices are no two-sum (the largest 4m + 2 is 7,118), and the
+    largest smallest part is p = 63,901 and 107,197 (33,721 at 10^6).
     """
     n = len(table)
-    first = np.full(n, -1, dtype=np.int64)
-    open_ = np.ones(n, dtype=bool)
-    for s in parts[:DENSE_PARTS].tolist():
-        hit = open_[k * s :] & table[(k - 1) * s : n - s]
-        first[k * s :][hit] = s
-        open_[k * s :] ^= hit  # hit is within open_
-    rest = np.flatnonzero(open_)
-    del open_
-    if len(rest):
-        first[rest] = _first_parts(rest, parts[DENSE_PARTS:], table, k)[rest]
-    return first
-
-
-def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
-    """first[t], for each t in ``targets``: the smallest s in ``parts`` with
-    k s <= t and table[t - s], or -1 if there is none.
-
-    ``targets`` (not empty) and ``parts`` are sorted ascending; ``first``
-    has length max(targets) + 1 and is -1 off the targets.  Each step reads
-    only the targets still open, and drops those below k s, since no later
-    part can serve them; the loop ends when none is left.
-
-    The cost has no a priori bound: a target t that no part serves is read
-    for every part up to t / k.  For k = 2 on the FI bitmap to X = 10^7, 30
-    indices are no two-sum (the largest 4m + 2 is 7,118), and the largest
-    smallest part is p = 63,901 (33,721 at 10^6).
-    """
-    first = np.full(int(targets[-1]) + 1, -1, dtype=np.int64)
-    for s in parts.tolist():
+    covered = np.zeros(n, dtype=bool)
+    for j, s in enumerate(map(int, parts)):
+        if j % 8 == 0 and 32 * (n - np.count_nonzero(covered)) < n:
+            break
+        covered[k * s :] |= table[(k - 1) * s : n - s]
+    else:
+        return covered
+    targets = np.flatnonzero(~covered).astype(np.int32 if n < 2**31 else np.int64)
+    for s in map(int, parts[j:]):
         targets = targets[np.searchsorted(targets, k * s) :]
         if not len(targets):
             break
         hit = table[targets - s]
-        first[targets[hit]] = s
+        covered[targets[hit]] = True
         targets = targets[~hit]
+    return covered
+
+
+def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """For each entry t of ``targets`` (ascending), the smallest s in
+    ``parts`` (ascending) with k s <= t and table[t - s], or -1 if none.
+
+    Each step reads only the open targets, with their positions, and drops
+    those below k s, since no later part can serve them.
+    """
+    first = np.full(len(targets), -1, dtype=targets.dtype)
+    at = np.arange(len(targets), dtype=targets.dtype)
+    for s in map(int, parts):
+        lo = np.searchsorted(targets, k * s)
+        targets, at = targets[lo:], at[lo:]
+        if not len(targets):
+            break
+        hit = table[targets - s]
+        first[at[hit]] = s
+        targets, at = targets[~hit], at[~hit]
     return first
 
 

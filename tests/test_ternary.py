@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiprimes import primes as P, ternary as T
 from fiprimes.primes import fi_primes_upto
@@ -119,14 +121,12 @@ def test_swept_witnesses_match_per_x_search():
 def test_dense_phase_matches_the_sparse_sweep():
     # the reference is _first_parts on every target, with no dense phase
     X = 10**6
-    M = (X - 3) // 4
-    in_fi, i1 = T._smallest_p1(X, fi_primes_upto(X))
-    parts = np.flatnonzero(in_fi)
-    targets = np.arange(M + 1)
+    in_fi, parts = T._fi_bitmap(X, fi_primes_upto(X), 1)
+    targets = np.arange(len(in_fi))
     first = T._first_parts(targets, parts, in_fi, 2)
-    assert np.array_equal(T._sweep(parts, in_fi, 2), first)
-    two = first >= 0
-    assert np.array_equal(i1, T._first_parts(targets, parts, two, 3))
+    two = T._covered(parts, in_fi, 2)
+    assert np.array_equal(two, first >= 0)
+    assert np.array_equal(T._covered(parts, two, 3), T._first_parts(targets, parts, two, 3) >= 0)
     # the sweep's cost figures: 30 indices are no two-sum, the largest 4m + 2
     # of them is 7,118, and the largest smallest part is p = 33,721
     assert np.count_nonzero(~two) == 30
@@ -134,16 +134,51 @@ def test_dense_phase_matches_the_sparse_sweep():
     assert 4 * first.max() + 1 == 33721
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1024, 4096), st.sampled_from([2, 3]))
+def test_covered_against_double_loop(seed, n, k):
+    # with about 30% of the table and of the indices as parts, the open set
+    # falls under n/32 after a few checks and the sparse loop serves the rest
+    rng = np.random.default_rng(seed)
+    table = rng.random(n) < 0.3
+    parts = np.flatnonzero(rng.random(n) < 0.3)
+    expected = [any(table[t - s] for s in parts.tolist() if k * s <= t) for t in range(n)]
+    assert T._covered(parts, table, k).tolist() == expected
+
+
+def test_ternary_byte_estimates_bound_the_peaks(monkeypatch):
+    # each scan's tracemalloc peak, table given, is at most the bytes it checks
+    checked = []
+
+    def check_bytes(nbytes, what):
+        checked.append(nbytes)
+        P.check_bytes(nbytes, what)
+
+    monkeypatch.setattr(T, "check_bytes", check_bytes)
+    for scan, X in ((T.scan_exceptions, 10**6), (T.smallest_witnesses, 10**5)):
+        fi = fi_primes_upto(X)
+        tracemalloc.start()
+        try:
+            scan(X, fi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checked[-1], (scan.__name__, peak, checked[-1])
+
+
 def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # 64 bytes per index m in [0, M], M = (X - 3) // 4: X = 1023 has M + 1 = 256
-    # indices, X = 1027 one more
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 64 * 256)
-    assert list(T.scan_exceptions(1023)) == [3, 7, 11, 19, 27, 35, 43]
-    T.smallest_witnesses(1023)
+    # 6 bytes per index m in [0, M], M = (X - 3) // 4, for scan_exceptions and
+    # 40 for smallest_witnesses: X = 1023 has M + 1 = 256 indices, X = 1027 one
+    # more.  The table is given, since its own estimate is over 6 * 256 bytes.
+    fi = fi_primes_upto(1027)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 6 * 256)
+    assert list(T.scan_exceptions(1023, fi)) == [3, 7, 11, 19, 27, 35, 43]
     with pytest.raises(P.CapacityError):
-        T.scan_exceptions(1027)
+        T.scan_exceptions(1027, fi)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 40 * 256)
+    T.smallest_witnesses(1023, fi)
     with pytest.raises(P.CapacityError):
-        T.smallest_witnesses(1027)
+        T.smallest_witnesses(1027, fi)
     monkeypatch.undo()
     forbid_alloc()
     with pytest.raises(P.CapacityError):
