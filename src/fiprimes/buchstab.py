@@ -177,32 +177,20 @@ def rough_count(T: int, z: float) -> RoughCount:
     return RoughCount(exact=exact, predicted=predicted, reliable=reliable)
 
 
-def buchstab_identity_check(n: int, z: float, w: float) -> bool:
-    """Exact check of rho(n, z) = rho(n, w) + sum_{z < p <= w, p | n} [P-(n/p) >= p].
+def buchstab_identity_scan(limit: int, z: float, w: float) -> int:
+    """Number of n <= limit that violate the exact Buchstab identity (0 expected):
+
+        rho(n, z) = rho(n, w) + sum_{z < p <= w, p | n} [P-(n/p) >= p].
 
     The cofactor condition is "no prime factor below p" (>= p rather than
     > p); with a strict cutoff the term at p would miss n divisible by p^2
-    and the identity would fail, e.g. at n = 25.  In this form it is an
-    exact combinatorial identity for every n >= 1.
-    """
-    if not z < w:
-        raise ValueError("need z < w")
-    lhs = rough_indicator(n, z)
-    rhs = rough_indicator(n, w)
-    for p, _ in factorize(n):
-        if z < p <= w:
-            rhs += rough_indicator(n // p, p - 1)
-    return lhs == rhs
-
-
-def buchstab_identity_scan(limit: int, z: float, w: float) -> int:
-    """Number of n <= limit violating the identity (0 expected); bulk version.
-
-    The right side is summed as integers, so a cofactor counted twice shows
-    up as a violation rather than being absorbed by a boolean or.  Raises
-    CapacityError, before allocating, when its 10 (limit + 1) bytes exceed
-    the table budget: lhs, the int64 rhs and rough_mask(limit, w) before
-    its cast (later masks are shorter, and += casts them in buffers).
+    and the identity would fail, e.g. at n = 25.  In this form it holds for
+    every n >= 1.  The right side is summed as integers, so a cofactor
+    counted twice shows up as a violation rather than being absorbed by a
+    boolean or.  Raises CapacityError, before allocating, when its
+    10 (limit + 1) bytes exceed the table budget: lhs, the int64 rhs and
+    rough_mask(limit, w) before its cast (later masks are shorter, and +=
+    casts them in buffers).
     """
     if not z < w:
         raise ValueError("need z < w")

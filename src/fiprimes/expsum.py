@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -376,7 +376,7 @@ class DfiParts:
 
 
 def dfi_decompose(
-    c: Union[Mapping[int, complex], np.ndarray, Sequence[complex]],
+    c: Union[np.ndarray, Sequence[complex]],
     z: float,
     U1: float,
     U2: float,
@@ -385,7 +385,8 @@ def dfi_decompose(
 ) -> DfiParts:
     """Split S(C, z) = sum_n rho(n, z) c(n) into linear and bilinear parts.
 
-    Computes, exactly at desk scale,
+    ``c`` holds c(n) at index n (index 0 is not read).  Computes, exactly at
+    desk scale,
 
         S(C, z) - sum_{U2 <= p < q < z} S(C_pq, p)
             = sum_{d | P(z), d < D_I, <=1 prime factor >= U1} mu(d) |C_d|
@@ -398,7 +399,7 @@ def dfi_decompose(
     """
     if not (3 <= K and K <= U1 < U2 < z < D_I):
         raise ValueError("need 3 <= K <= U1 < U2 < z < D_I")
-    arr = _coerce_support(c)
+    arr = np.asarray(c, dtype=np.complex128)
     n_max = len(arr) - 1
     if n_max > 10**6:
         raise ValueError("support exceeds the enumeration cap 10^6")
@@ -471,20 +472,3 @@ def dfi_decompose(
         residual=residual,
         residual_bound=bound,
     )
-
-
-def _coerce_support(
-    c: Union[Mapping[int, complex], np.ndarray, Sequence[complex]]
-) -> np.ndarray:
-    if isinstance(c, Mapping):
-        if not c:
-            return np.zeros(1, dtype=np.complex128)
-        n_max = max(c)
-        arr = np.zeros(n_max + 1, dtype=np.complex128)
-        for n, v in c.items():
-            if n < 1:
-                raise ValueError("support must be positive integers")
-            arr[n] = v
-        return arr
-    arr = np.asarray(c, dtype=np.complex128)
-    return arr

@@ -9,8 +9,9 @@ of their indices.  The exception scan to X builds bitmaps only, over about
 X/4 indices: the FI bitmap gives the two-sum bitmap, and that the three-sum
 bitmap.  The witnesses keep first parts: a sweep of the FI primes in
 increasing order against the two-sum bitmap gives each x its smallest p1,
-since had x - p1 = a + b with a < p1, a would have resolved x earlier; a
-sweep over p2 then gives each x the witness of the point query
+since had x - p1 = a + b with a < p1, a would have resolved x earlier; the
+same sweep against the FI bitmap gives each two-sum its smallest part, and
+gathering that at x - p1 gives p2: the witness of the point query
 ``find_representation``, which binary-searches the sorted table instead.
 
 The W-tricked sequence normalises LL on a residue class b mod W so its mean
@@ -118,7 +119,7 @@ def scan_exceptions(X: int, fi: Optional[np.ndarray] = None) -> np.ndarray:
     gives the two-sum bitmap, and on that (k = 3) the m with 4m + 3 a sum of
     three.  Only bitmaps are built: 6 bytes per index are checked before
     allocating (tracemalloc peak per index at X = 10^4 to 10^8, table given:
-    5.80, 4.75, 4.48, 4.34, 4.25).  A caller-supplied ``fi`` must hold only
+    5.86, 4.75, 4.48, 4.34, 4.25).  A caller-supplied ``fi`` must hold only
     1 (mod 4) entries; anything else raises ValueError.
     """
     in_fi, parts = _fi_bitmap(X, fi, 6)
@@ -129,23 +130,22 @@ def smallest_witnesses(X: int, fi: Optional[np.ndarray] = None) -> tuple[np.ndar
     """(p1, p2) of ``find_representation(x)`` for every x = 4m + 3 <= X, indexed by m.
 
     Both are 0 where x is an exception; p3 = x - p1 - p2.  ``_first_parts``
-    against the two-sum bitmap gives each x its smallest p1.  For each p1, a
-    second sweep over p2 in increasing order against the FI bitmap finds the
-    smallest p2 with x - p1 - p2 an FI prime.  Every split x - p1 = a + b
-    has a, b >= p1, since p1 is the smallest element of any representation
-    of x, and a partner below p2 would have been hit first; so p1 <= p2 <= p3
-    holds without being imposed.  40 bytes per index are checked before
-    allocating (tracemalloc peak per index at X = 10^4 to 10^8, table given:
-    38.7, 33.5, 34.0, 34.3, 34.4).
+    against the FI bitmap gives each two-sum its smallest part, and against
+    the two-sum bitmap each x its smallest p1; p2 is the smallest part of
+    x - p1, gathered from the first sweep.  Every split x - p1 = a + b has
+    a, b >= p1, since p1 is the smallest element of any representation of
+    x, so p1 <= p2 <= p3 holds without being imposed.  40 bytes per index
+    are checked before allocating (tracemalloc peak per index at X = 10^4
+    to 10^7, table given: 35.0, 33.8, 33.5, 33.3).
     """
     in_fi, parts = _fi_bitmap(X, fi, 40)
     n = len(in_fi)
-    dtype = np.int32 if n < 2**31 else np.int64
-    i1 = _first_parts(np.arange(n, dtype=dtype), parts, _covered(parts, in_fi, 2), 3)
-    i2 = np.full(n, -1, dtype=dtype)
-    for s in parts[: np.searchsorted(parts, i1.max(), side="right")].tolist():
-        ts = (np.flatnonzero(i1 == s) - s).astype(dtype)  # x - p1 = 4t + 2
-        i2[ts + s] = _first_parts(ts, parts[np.searchsorted(parts, s) :], in_fi, 2)
+    m = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    s2 = _first_parts(m, parts, in_fi, 2)
+    i1 = _first_parts(m, parts, s2 >= 0, 3)
+    # x - p1 = 4 (m - i1) + 2; where i1 = -1, m - i1 may be n
+    i2 = np.where(i1 >= 0, s2[np.minimum(m - i1, n - 1)], -1)
+    del m, s2
     # p = 4i + 1 and 0 for i = -1, one array at a time
     return tuple(np.maximum(4 * i.astype(np.int64) + 1, 0) for i in (i1, i2))
 
@@ -171,12 +171,9 @@ def _covered(parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     for each t in [0, len(table)): exact, from indices and bool lookups.
 
     The first parts run on aligned bool slices over the whole range.  Once
-    under 1/32 of the targets are open (checked every 8 parts), a loop reads
-    only those, as int32 (int64 from 2^31), and drops the ones below k s.
-    Its cost has no a priori bound: a target t that no part serves is read
-    for every part up to t / k.  For k = 2 on the FI bitmap to X = 10^7 and
-    10^8, 30 indices are no two-sum (the largest 4m + 2 is 7,118), and the
-    largest smallest part is p = 63,901 and 107,197 (33,721 at 10^6).
+    under 1/32 of the targets are open (checked every 8 parts),
+    ``_first_parts`` serves only those, as int32 (int64 from 2^31), from the
+    next part on.
     """
     n = len(table)
     covered = np.zeros(n, dtype=bool)
@@ -187,13 +184,7 @@ def _covered(parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     else:
         return covered
     targets = np.flatnonzero(~covered).astype(np.int32 if n < 2**31 else np.int64)
-    for s in map(int, parts[j:]):
-        targets = targets[np.searchsorted(targets, k * s) :]
-        if not len(targets):
-            break
-        hit = table[targets - s]
-        covered[targets[hit]] = True
-        targets = targets[~hit]
+    covered[targets] = _first_parts(targets, parts[j:], table, k) >= 0
     return covered
 
 
@@ -202,7 +193,11 @@ def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: i
     ``parts`` (ascending) with k s <= t and table[t - s], or -1 if none.
 
     Each step reads only the open targets, with their positions, and drops
-    those below k s, since no later part can serve them.
+    those below k s, since no later part can serve them.  Its cost has no a
+    priori bound: a target t that no part serves is read for every part up
+    to t / k.  For k = 2 on the FI bitmap to X = 10^7 and 10^8, 30 indices
+    are no two-sum (the largest 4m + 2 is 7,118), and the largest smallest
+    part is p = 63,901 and 107,197 (33,721 at 10^6).
     """
     first = np.full(len(targets), -1, dtype=targets.dtype)
     at = np.arange(len(targets), dtype=targets.dtype)

@@ -207,9 +207,10 @@ def test_rough_count_unreliable_flag():
 
 
 def test_buchstab_identity_examples():
-    assert B.buchstab_identity_check(30, 2, 5)
-    assert B.buchstab_identity_check(1, 2, 100)
-    assert B.buchstab_identity_check(25, 3, 50)
+    # every n <= limit; n = 25 is the case a strict cofactor cutoff would miss
+    assert B.buchstab_identity_scan(30, 2, 5) == 0
+    assert B.buchstab_identity_scan(1, 2, 100) == 0
+    assert B.buchstab_identity_scan(25, 3, 50) == 0
 
 
 def test_buchstab_identity_exhaustive():

@@ -342,9 +342,11 @@ def test_dfi_rough_parts_match_scalar_loops(z, U1, U2, D_I, K):
 def test_dfi_primes_above_z():
     from fiprimes.primes import primes_upto
 
-    c = {int(p): 1.0 + 0j for p in primes_upto(400) if p > 11}
+    ps = primes_upto(400)
+    c = np.zeros(int(ps[-1]) + 1, dtype=np.complex128)  # 398 entries, to 397
+    c[ps[ps > 11]] = 1.0
     parts = E.dfi_decompose(c, z=11.0, U1=3.0, U2=5.0, D_I=50.0, K=3)
-    assert parts.total == pytest.approx(sum(c.values()))
+    assert parts.total == pytest.approx(c.sum())
     assert all(abs(b) < 1e-12 for b in parts.type2_parts)
     assert abs(parts.sieved_tail) < 1e-12
 
