@@ -175,29 +175,3 @@ def rough_count(T: int, z: float) -> RoughCount:
         lo = hi
     reliable = z >= T**0.1
     return RoughCount(exact=exact, predicted=predicted, reliable=reliable)
-
-
-def buchstab_identity_scan(limit: int, z: float, w: float) -> int:
-    """Number of n <= limit that violate the exact Buchstab identity (0 expected):
-
-        rho(n, z) = rho(n, w) + sum_{z < p <= w, p | n} [P-(n/p) >= p].
-
-    The cofactor condition is "no prime factor below p" (>= p rather than
-    > p); with a strict cutoff the term at p would miss n divisible by p^2
-    and the identity would fail, e.g. at n = 25.  In this form it holds for
-    every n >= 1.  The right side is summed as integers, so a cofactor
-    counted twice shows up as a violation rather than being absorbed by a
-    boolean or.  Raises CapacityError, before allocating, when its
-    10 (limit + 1) bytes exceed the table budget: lhs, the int64 rhs and
-    rough_mask(limit, w) before its cast (later masks are shorter, and +=
-    casts them in buffers).
-    """
-    if not z < w:
-        raise ValueError("need z < w")
-    check_bytes(10 * (limit + 1), f"Buchstab identity scan to {limit}")
-    lhs = rough_mask(limit, z)
-    rhs = rough_mask(limit, w).astype(np.int64)
-    for p in primes_upto(min(int(w), limit)).tolist():
-        if p > z:
-            rhs[p::p] += rough_mask(limit // p, p - 1)[1:]
-    return int(np.count_nonzero(lhs != rhs))

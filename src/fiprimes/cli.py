@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import re
 import sys
 import time
@@ -217,10 +218,15 @@ def _parse_gauss(s: str):
     return GaussianInt(int(parts[0]), int(parts[1]))
 
 
-def _parse_gamma(s: str):
-    if "/" in s:
-        return Fraction(s)
-    return float(s)
+def _parse_gamma(s: str) -> float | Fraction:
+    """--gamma as a float, or as an exact a/q; either must be finite."""
+    try:
+        gamma = Fraction(s) if "/" in s else float(s)
+        if math.isfinite(gamma):
+            return gamma
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"--gamma must be a finite float or a/q with q != 0, got {s!r}")
 
 
 def main(argv=None) -> int:
@@ -408,10 +414,19 @@ def _dispatch(args) -> int:
 
         if args.x < 2:
             raise ValueError(f"--x must be >= 2, got {args.x}")
+        w = args.w_override
+        # w >= x would make W > x; checked first, as W's primes run to w
+        if w is not None and not (math.isfinite(w) and w < args.x):
+            raise ValueError(f"--w-override must be finite and below --x, got {w}")
+        N = args.x // w_from_threshold(args.x, w)[1]
+        if N < 1:
+            raise ValueError(f"--w-override {w} makes W larger than --x {args.x}")
+        grid = 4 * N if args.grid is None else args.grid
+        if grid < 4 * N:
+            raise ValueError(f"--grid must be >= 4 N = {4 * N}, got {grid}")
         # the grid's bytes are known from W alone, so check them before the build
-        grid = args.grid or 4 * (args.x // w_from_threshold(args.x, args.w_override)[1])
         check_lq_grid(grid)
-        seq = wtrick_build(args.x, args.b, w_override=args.w_override)
+        seq = wtrick_build(args.x, args.b, w_override=w)
         ratio = lq_moment(seq, args.q, grid)
         _emit({"x": args.x, "q": args.q, "W": seq.W, "b": seq.b, "N": seq.N,
                "grid": grid, "moment_ratio": ratio, "mean": seq.mean},

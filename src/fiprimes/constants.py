@@ -151,10 +151,6 @@ class AlphaPlusResult:
     c3: QuadratureResult
     value: float
 
-    @property
-    def margin_to_three_alpha_minus(self) -> float:
-        return 3.0 * ALPHA_MINUS - self.value
-
 
 @lru_cache(maxsize=8)
 def alpha_plus(xi1: float = 0.183, xi: float = 0.265, delta0: float = 1e-7) -> AlphaPlusResult:

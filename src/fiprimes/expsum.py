@@ -1,11 +1,10 @@
 """Exponential sums, arc classification, and the bilinear-sum kernels.
 
-Covers the geometric sum S0, weighted sums over a W-tricked progression,
-linear (Type I) sums over FI-decomposed multiples, the bilinear lattice sum
-by a walk over a reduced basis (with the direct annulus filter as its
-oracle), min-sums against the classical rational bound, and the
-combinatorial dissection of a sifted sum into linear and bilinear parts with
-an explicit remainder band.
+Covers the geometric sum S0, linear (Type I) sums over FI-decomposed
+multiples, the bilinear lattice sum by a walk over a reduced basis (with the
+direct annulus filter as its oracle), min-sums against the classical
+rational bound, and the combinatorial dissection of a sifted sum into linear
+and bilinear parts with an explicit remainder band.
 """
 
 from __future__ import annotations
@@ -59,28 +58,6 @@ def fractional_distance(t: float) -> float:
     return abs(t - round(t))
 
 
-def weighted_expsum(
-    f: Union[Callable[[int], float], Sequence[float], np.ndarray],
-    gamma: float,
-    T: int,
-    W: int = 1,
-    b: int = 1,
-) -> complex:
-    """S(gamma, T) = sum_{n <= T} f(W n + b) e(gamma n), evaluated directly."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    if not 1 <= b <= W:
-        raise ValueError("need 1 <= b <= W")
-    ns = np.arange(1, T + 1, dtype=np.int64)
-    if callable(f):
-        vals = np.array([f(int(W * n + b)) for n in ns], dtype=np.float64)
-    else:
-        arr = np.asarray(f)
-        vals = arr[W * ns + b]
-    phases = np.exp(2j * np.pi * gamma * ns)
-    return complex(np.sum(vals * phases))
-
-
 # ---------------------------------------------------------------------------
 # arc classification
 
@@ -89,10 +66,6 @@ def weighted_expsum(
 class Arc:
     q: int
     a: int
-
-    @property
-    def center(self) -> float:
-        return self.a / self.q
 
 
 @dataclass(frozen=True)
@@ -241,6 +214,8 @@ def type1_sum(
     """
     if D_I < 0:
         raise ValueError("D_I must be >= 0")
+    if W < 1:
+        raise ValueError(f"need W >= 1, got {W}")
     if x > 10**8:
         raise ValueError("x beyond the desk cap 10^8")
     if phase not in ("n", "dn"):
@@ -323,8 +298,8 @@ def min_sum(
     multiplier: int = 1,
 ) -> float:
     """sum_{0 < j <= J} min(K, ||multiplier * gamma * j||^{-1})."""
-    if J < 1 or K <= 0:
-        raise ValueError("need J >= 1 and K > 0")
+    if J < 1 or not K > 0:
+        raise ValueError(f"need J >= 1 and K > 0, got J = {J} and K = {K}")
     g = _as_exact_rational(gamma)
     if g is not None:
         num, den = g.numerator * multiplier, g.denominator

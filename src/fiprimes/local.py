@@ -34,10 +34,8 @@ value is also what the defining formula yields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal
 
 import numpy as np
 
@@ -63,27 +61,6 @@ def psi_prime(q: int) -> Fraction:
     return out
 
 
-def psi0(r: int) -> Fraction:
-    """Multiplicative psi0, supported on squarefree r; psi0(p) = chi(p)/(p-1-chi(p))."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    out = Fraction(1)
-    for p, e in factorize(r):
-        if e > 1:
-            return Fraction(0)
-        out *= Fraction(chi(p), p - 1 - chi(p))
-    return out
-
-
-def rho_density(l: int, q: int, a: int) -> int:
-    """rho_l(q, a) = #{k mod q : k^2 + l^2 = a (q)}, by direct count."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    t = (a - l * l) % q
-    ks = np.arange(q, dtype=np.int64)
-    return int(np.count_nonzero((ks * ks) % q == t))
-
-
 def euler_H(p_limit: int) -> tuple[float, float]:
     """Partial product of H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))).
 
@@ -105,51 +82,6 @@ def euler_H(p_limit: int) -> tuple[float, float]:
 def reference_H() -> float:
     """H truncated at the primes <= 10^6 (relative tail about 2e-6, see ``euler_H``)."""
     return euler_H(10**6)[0]
-
-
-@dataclass(frozen=True)
-class PsiFactors:
-    psi_l: float
-    psi_l_tail: float
-    psi_prime_q: Fraction
-    psi0_table: dict
-
-
-def psi_factors(l: int, q: int, cutoff: int = 10**6, tol: float = 1e-4) -> PsiFactors:
-    """psi(l), psi'(q), and the psi0 values on the squarefree divisors of q.
-
-    psi(l) = prod_{p not dividing l} (1 - chi(p)/(p-1)) is evaluated through
-    the absolutely convergent product for H (the direct product converges
-    only conditionally): psi(l) = (2 H / pi) * psi'(l).  The reported tail is
-    inherited from the H truncation at ``cutoff``; a ValueError is raised if
-    it exceeds ``tol``.
-    """
-    if l < 1 or q < 1:
-        raise ValueError("l and q must be >= 1")
-    h, h_tail = euler_H(cutoff)
-    rel_tail = h_tail / h
-    psi_l = (2.0 * h / math.pi) * float(psi_prime(l))
-    tail = abs(psi_l) * rel_tail
-    if tail > tol:
-        raise ValueError(f"cutoff {cutoff} gives tail {tail:.2e} > tol {tol:.2e}")
-    table = {1: Fraction(1)}
-    sq_free_part = 1
-    for p, _ in factorize(q):
-        sq_free_part *= p
-    for r in _divisors(sq_free_part):
-        table[r] = psi0(r)
-    return PsiFactors(psi_l=psi_l, psi_l_tail=tail, psi_prime_q=psi_prime(q), psi0_table=table)
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-# ---------------------------------------------------------------------------
-# Xi(q, a): the multiplicative fast path and the brute-force oracle
 
 
 def xi(q: int, a: int) -> Fraction:
@@ -222,59 +154,3 @@ def coprime_rho_row(q: int) -> np.ndarray:
     row = out.astype(np.int64)
     row.setflags(write=False)
     return row
-
-
-# ---------------------------------------------------------------------------
-# bias search
-
-
-@dataclass(frozen=True)
-class XiExtreme:
-    q: int
-    a: int
-    xi_value: Fraction
-
-
-def xi_extremes(Q: int, direction: Literal["small", "large"]) -> XiExtreme:
-    """Exhibit moduli where Xi strays far from 1, by greedy prime products.
-
-    direction="large" accumulates 4 and then primes p = 3 (4) ascending,
-    picking the residue maximising Xi at each prime; direction="small" uses
-    primes p = 1 (4) and minimising residues.  A demonstration of growth,
-    not an optimizer.
-    """
-    if Q < 2:
-        raise ValueError("Q must be >= 2")
-    residues: list[tuple[int, int]] = []  # (modulus, residue)
-    q = 1
-    if direction == "large" and 4 <= Q:
-        q = 4
-        residues.append((4, 1))
-    want = 3 if direction == "large" else 1
-    for p in primes_upto(Q):
-        p = int(p)
-        if p % 4 != want:
-            continue
-        if q * p > Q:
-            break
-        vals = [(xi(p, a), a) for a in range(1, p)]
-        if direction == "large":
-            best = max(vals, key=lambda t: (t[0], -t[1]))
-        else:
-            best = min(vals, key=lambda t: (t[0], t[1]))
-        residues.append((p, best[1]))
-        q *= p
-    a = _crt(residues) if residues else 1
-    return XiExtreme(q=q, a=a, xi_value=xi(q, a))
-
-
-def _crt(residues: list[tuple[int, int]]) -> int:
-    m, r = 1, 0
-    for mod, res in residues:
-        try:
-            inv = pow(m, -1, mod)
-        except ValueError:
-            raise ValueError("moduli must be coprime") from None
-        r = r + m * ((res - r) * inv % mod)
-        m *= mod
-    return r % m

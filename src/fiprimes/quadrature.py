@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 _MAX_DEPTH = 40  # bisection depth at which a subinterval is accepted regardless of tol
@@ -16,7 +17,9 @@ def adaptive_simpson(
     """Adaptive Simpson integration of f over [a, b].
 
     Returns (value, error_estimate).  The estimate is the accumulated
-    Richardson residual, conservative for smooth integrands.
+    Richardson residual, conservative for smooth integrands.  A NaN bound or
+    integrand value raises ValueError: it never converges, and would recurse
+    to the full depth in every branch.
     """
     if a == b:
         return 0.0, 0.0
@@ -37,6 +40,8 @@ def adaptive_simpson(
         err = (left + right - whole) / 15.0
         if depth >= _MAX_DEPTH or abs(err) < tol:
             return left + right + err, abs(err)
+        if math.isnan(err):
+            raise ValueError(f"NaN in the integral over [{x0}, {x2}]")
         lv, le = recurse(x0, x1, f0, f1, left, depth + 1, tol / 2.0)
         rv, re_ = recurse(x1, x2, f1, f2, right, depth + 1, tol / 2.0)
         return lv + rv, le + re_

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -39,11 +38,6 @@ from .primes import (
     mangoldt,
     mangoldt_table,
 )
-from .quadrature import adaptive_simpson
-
-EULER_GAMMA = 0.5772156649015329
-
-SUPPORT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -99,24 +93,6 @@ class MajorantParams:
         return 0.5 * math.log(self.x)
 
 
-# ---------------------------------------------------------------------------
-# explicit weight sets
-
-
-@dataclass(frozen=True)
-class SieveWeightSet:
-    """Materialised map d -> lambda_d for one sign of the beta-sieve."""
-
-    level: float
-    beta: float
-    prime_range: tuple[int, ...]
-    sign: int
-    weights: dict[int, int]
-
-    def theta(self, n: int) -> int:
-        return sum(w for d, w in self.weights.items() if n % d == 0)
-
-
 def _prefix_ok(m: int, prod: int, p: int, beta: float, level: float, sign: int) -> bool:
     """Condition on the m-th prefix when appending prime p (prod includes p)."""
     constrained = (m % 2 == 1) if sign > 0 else (m % 2 == 0)
@@ -140,26 +116,6 @@ def _chain(ps_desc: tuple[int, ...], D: float, beta: float, sign: int) -> Iterat
                 yield from rec(j + 1, depth + 1, prod * p, -mu)
 
     return rec(0, 0, 1, 1)
-
-
-def beta_sieve_weights(
-    D: float, beta: float, P: Iterable[int], cap: int = SUPPORT_CAP
-) -> tuple[SieveWeightSet, SieveWeightSet]:
-    """Explicit upper and lower weight sets of level D over the primes P."""
-    if D < 2:
-        raise ValueError("level must be >= 2")
-    ps = tuple(sorted(set(int(p) for p in P), reverse=True))
-    out = []
-    for sign in (+1, -1):
-        weights: dict[int, int] = {}
-        for d, mu in _chain(ps, D, beta, sign):
-            if len(weights) >= cap:
-                raise ValueError(f"support exceeds cap {cap}")
-            weights[d] = mu
-        out.append(
-            SieveWeightSet(level=D, beta=beta, prime_range=ps, sign=sign, weights=weights)
-        )
-    return out[0], out[1]
 
 
 def composed_theta_factored(
@@ -186,65 +142,6 @@ def composed_theta(n: int, params: MajorantParams, sign: int) -> int:
     return composed_theta_factored(
         distinct_prime_factors(n), params.D1, params.D0, params.z1, params.z0, sign
     )
-
-
-# ---------------------------------------------------------------------------
-# linear sieve functions
-
-
-def linear_sieve_F(s: float) -> float:
-    """Upper linear-sieve function: 2 e^gamma / s on [1,3], extended on [3,5]."""
-    if not 1.0 <= s <= 5.0:
-        raise ValueError("F(s) supported on [1, 5]")
-    base = 2.0 * math.exp(EULER_GAMMA) / s
-    if s <= 3.0:
-        return base
-    integral, _ = adaptive_simpson(lambda t: math.log(t - 1.0) / t, 2.0, s - 1.0, 1e-12)
-    return base * (1.0 + integral)
-
-
-def linear_sieve_f(s: float) -> float:
-    """Lower linear-sieve function 2 e^gamma log(s-1) / s on [2, 4]."""
-    if not 2.0 <= s <= 4.0:
-        raise ValueError("f(s) supported on [2, 4]")
-    return 2.0 * math.exp(EULER_GAMMA) * math.log(s - 1.0) / s
-
-
-# ---------------------------------------------------------------------------
-# the switching inequality
-
-
-@dataclass(frozen=True)
-class PanCheck:
-    holds: bool
-    lhs: int
-    rhs: Fraction
-    mid_factor_count: int
-
-
-def pan_inequality_check(l: int, params: MajorantParams) -> PanCheck:
-    """Verify the switching inequality for squarefree l <= sqrt(x).
-
-    rho(l, z) <= rho(l, z1) - 1/2 sum_{z1 <= p < z, l = pm} rho(m, z1)
-                          + 1/2 sum_{z1 <= p1 < p2 < p3 < z, l = p1p2p3m} rho(m, p1)
-
-    With r mid-range factors and a z-rough cofactor the right side is
-    1, 1/2, 0, 0, 1/2, 3/2 for r = 0..5.
-    """
-    facs = factorize(l)
-    if any(e > 1 for _, e in facs):
-        raise ValueError("l must be squarefree")
-    z, z1 = params.z, params.z1
-    primes = [p for p, _ in facs]
-    lhs = rough_indicator(l, z)
-    mids = [p for p in primes if z1 <= p < z]
-    rhs = Fraction(rough_indicator(l, z1))
-    # l is squarefree, so l // p has the prime factors of l other than p
-    for p in mids:
-        rhs -= Fraction(1, 2) * rough_indicator(l // p, z1)
-    for p1, p2, p3 in combinations(sorted(mids), 3):
-        rhs += Fraction(1, 2) * rough_indicator(l // (p1 * p2 * p3), p1)
-    return PanCheck(holds=Fraction(lhs) <= rhs, lhs=lhs, rhs=rhs, mid_factor_count=len(mids))
 
 
 # ---------------------------------------------------------------------------

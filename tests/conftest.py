@@ -1,10 +1,11 @@
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from fiprimes.buchstab import buchstab_B
+from fiprimes.buchstab import buchstab_B, rough_mask
 from fiprimes.primes import (
     _prime_power_arrays,
     fi_pairs,
@@ -116,6 +117,44 @@ def c3_midpoint_rows(xi1: float, xi: float, n: int) -> float:
         vals *= buchstab_B(u) / (b1 * b1 * b2 * b3)
         total += float(vals.sum())
     return total * h**3
+
+
+def buchstab_identity_violations(limit: int, z: float, w: float) -> int:
+    """Number of n <= limit that violate the exact Buchstab identity (0 expected):
+
+        rho(n, z) = rho(n, w) + sum_{z < p <= w, p | n} [P-(n/p) >= p].
+
+    The cofactor condition is "no prime factor below p" (>= p rather than
+    > p); with a strict cutoff the term at p would miss n divisible by p^2
+    and the identity would fail, e.g. at n = 25.  The right side is summed
+    as integers, so a cofactor counted twice shows up as a violation rather
+    than being absorbed by a boolean or.
+    """
+    lhs = rough_mask(limit, z)
+    rhs = rough_mask(limit, w).astype(np.int64)
+    for p in primes_upto(min(int(w), limit)).tolist():
+        if p > z:
+            rhs[p::p] += rough_mask(limit // p, p - 1)[1:]
+    return int(np.count_nonzero(lhs != rhs))
+
+
+def switching_sides(primes: list[int], z: float, z1: float) -> tuple[int, int]:
+    """Twice each side of the switching inequality at the squarefree l with these prime factors:
+
+        rho(l, z) <= rho(l, z1) - 1/2 sum_{z1 <= p < z, l = p m} rho(m, z1)
+                     + 1/2 sum_{z1 <= p1 < p2 < p3 < z, l = p1 p2 p3 m} rho(m, p1),
+
+    doubled so that both sides are integers.  With r mid-range factors and a
+    z-rough cofactor the right side is 1, 1/2, 0, 0, 1/2, 3/2 for r = 0..5.
+    """
+    lhs2 = 0 if any(p <= z for p in primes) else 2
+    rhs2 = 0 if any(p <= z1 for p in primes) else 2
+    mids = sorted(p for p in primes if z1 <= p < z)
+    for p in mids:
+        rhs2 -= 0 if any(q <= z1 for q in primes if q != p) else 1
+    for tri in combinations(mids, 3):
+        rhs2 += all(q > tri[0] for q in primes if q not in tri)
+    return lhs2, rhs2
 
 
 @pytest.fixture(scope="session")

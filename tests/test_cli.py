@@ -253,6 +253,33 @@ def test_negative_sizes_exit_1(argv, message, capsys):
     assert (code, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("argv, needle", [
+    ("constants --delta0 nan", "NaN in the integral"),
+    ("expsum s0 --gamma 1/0", "--gamma"),
+    ("expsum s0 --gamma inf", "--gamma"),
+    ("expsum minsum --gamma 1/0", "--gamma"),
+    ("expsum minsum --gamma inf", "--gamma"),
+    ("expsum type1 --gamma inf", "--gamma"),
+    ("expsum type2 --gamma inf", "--gamma"),
+    ("expsum minsum --K nan", "K > 0"),
+    ("expsum type1 --W 0", "W >= 1"),
+    ("lq --x 1e5 --grid 0", "--grid must be >= 4 N = 200000"),
+    ("lq --x 1e5 --w-override inf", "--w-override"),
+    ("lq --x 1e5 --w-override 1000", "--w-override"),
+])
+def test_bad_flag_values_exit_1(argv, needle, capsys, monkeypatch):
+    from fiprimes import ternary
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the sequence before checking the flags")
+
+    monkeypatch.setattr(ternary, "wtrick_build", no_build)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 @pytest.mark.parametrize("short, plain", [
     ("lq --x 1e5 --json", "lq --x 100000 --json"),
     ("enumerate --limit 1e3", "enumerate --limit 1000"),

@@ -140,7 +140,7 @@ def test_alpha_plus_band():
     assert res.value <= C.ALPHA_PLUS_BOUND
     assert res.value >= C.ALPHA_PLUS_FLOOR
     assert res.value < 3.0 * C.ALPHA_MINUS
-    assert res.margin_to_three_alpha_minus > 0.02
+    assert 3.0 * C.ALPHA_MINUS - res.value > 0.02
 
 
 def test_alpha_plus_monotonicity_probe():
@@ -176,3 +176,11 @@ def test_adaptive_simpson_polynomial():
     assert v == pytest.approx(0.0, abs=1e-10)
     v2, _ = adaptive_simpson(math.exp, 0.0, 1.0, 1e-12)
     assert v2 == pytest.approx(math.e - 1.0, rel=1e-10)
+
+
+def test_adaptive_simpson_refuses_nan():
+    # NaN never converges; without the check each branch would recurse to depth 40
+    with pytest.raises(ValueError, match="NaN"):
+        adaptive_simpson(math.exp, 0.0, float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        adaptive_simpson(lambda t: math.nan if t > 0.7 else t, 0.0, 1.0)

@@ -37,23 +37,13 @@ def test_s0_bound(rng):
         assert v <= bound + 1e-9
 
 
-def test_weighted_expsum_constant():
-    assert E.weighted_expsum(lambda n: 1.0, 0.0, 25) == pytest.approx(25.0)
-
-
-def test_weighted_expsum_unrolls_progression():
-    ll = lambda_lambda_table(4000)
-    got = E.weighted_expsum(ll, 0.0, 1999, 2, 1)
-    expected = sum(ll[m] for m in range(3, 4000, 2))
-    assert got.real == pytest.approx(expected, rel=1e-12)
-
-
 def test_weighted_expsum_ll_damping_at_third():
     x = 10**5
     ll = lambda_lambda_table(x)
-    N = (x - 1) // 2
-    s_zero = E.weighted_expsum(ll, 0.0, N, 2, 1)
-    s_third = E.weighted_expsum(ll, 1.0 / 3.0, N, 2, 1)
+    # S(gamma) = sum_{n <= N} LL(2 n + 1) e(gamma n), with N = (x - 1) // 2
+    n = np.arange(1, (x - 1) // 2 + 1)
+    s_zero = ll[2 * n + 1].sum()
+    s_third = np.sum(ll[2 * n + 1] * np.exp(2j * np.pi * n / 3.0))
     assert abs(s_third) / abs(s_zero) < 0.75
 
 

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fiprimes import local as L
-from fiprimes.primes import euler_phi, primes_upto
+from fiprimes.primes import euler_phi, factorize, primes_upto
 
 
 def test_chi():
@@ -21,23 +22,13 @@ def test_psi_prime_examples():
     assert L.psi_prime(15) == Fraction(8, 9)
 
 
-def test_psi0_examples():
-    assert L.psi0(5) == Fraction(1, 3)
-    assert L.psi0(3) == Fraction(-1, 3)
-    assert L.psi0(9) == 0
-    assert L.psi0(1) == 1
-
-
 def test_psi_prime_is_psi0_divisor_sum():
+    # psi0 is multiplicative, supported on squarefree r, with psi0(p) = chi(p)/(p-1-chi(p))
     for l in (1, 2, 3, 5, 6, 15, 30, 105, 210):
-        divisor_sum = sum(L.psi0(r) for r in L._divisors(l))
+        ps = [p for p, _ in factorize(l)]
+        psi0 = [Fraction(L.chi(p), p - 1 - L.chi(p)) for p in ps]
+        divisor_sum = sum(math.prod(c) for k in range(len(ps) + 1) for c in combinations(psi0, k))
         assert L.psi_prime(l) == divisor_sum
-
-
-def test_rho_density_examples():
-    assert L.rho_density(1, 3, 1) == 1
-    assert L.rho_density(1, 3, 2) == 2
-    assert L.rho_density(0, 2, 1) == 1
 
 
 def test_xi_pinned_values():
@@ -78,9 +69,11 @@ def test_coprime_rho_row_against_direct_double_loop():
     # validates the FFT-convolution oracle itself against the raw count
     for q in (2, 3, 4, 8, 12, 30, 45, 97, 128, 210):
         row = L.coprime_rho_row(q)
+        ks = np.arange(q, dtype=np.int64)
         for a in range(q):
             direct = sum(
-                L.rho_density(c, q, a) for c in range(1, q + 1) if math.gcd(c, q) == 1
+                np.count_nonzero((ks * ks + c * c - a) % q == 0)
+                for c in range(1, q + 1) if math.gcd(c, q) == 1
             )
             assert int(row[a]) == direct, (q, a)
 
@@ -173,45 +166,3 @@ def test_euler_H_tail_shrinks():
     v7, t7 = L.euler_H(10**7)
     assert abs(v7 - v6) <= t6
     assert t7 < t6
-
-
-def test_psi_factors():
-    pf = L.psi_factors(1, 3)
-    assert pf.psi_prime_q == Fraction(2, 3)
-    assert pf.psi0_table[3] == Fraction(-1, 3)
-    # psi(1) equals the completed product 2 H / pi
-    h, _ = L.euler_H(10**6)
-    assert pf.psi_l == pytest.approx(2 * h / math.pi, rel=1e-12)
-    assert pf.psi_l_tail < 1e-4
-
-
-def test_psi_factors_cutoff_error():
-    with pytest.raises(ValueError):
-        L.psi_factors(1, 3, cutoff=10**3, tol=1e-9)
-
-
-def test_xi_extremes_examples():
-    large = L.xi_extremes(3, "large")
-    assert (large.q, large.a, large.xi_value) == (3, 2, Fraction(4, 3))
-    small = L.xi_extremes(5, "small")
-    assert small.q == 5 and small.xi_value == Fraction(2, 3)
-
-
-def test_xi_extremes_growth():
-    values = [float(L.xi_extremes(10**k, "large").xi_value) for k in range(1, 7)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[-1] > 2.0  # q = 4 * 3 * 7 * 11 * 19 * 23 reaches 3.65
-    small = [float(L.xi_extremes(10**k, "small").xi_value) for k in (2, 4, 6)]
-    assert all(b <= a for a, b in zip(small, small[1:]))
-
-
-def test_crt():
-    assert L._crt([(4, 1), (3, 2), (7, 3)]) == 17
-    with pytest.raises(ValueError, match="coprime"):
-        L._crt([(4, 1), (6, 1)])
-
-
-def test_xi_extreme_consistency():
-    res = L.xi_extremes(10**4, "large")
-    assert L.xi(res.q, res.a) == res.xi_value
-    assert res.q <= 10**4

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,48 +11,50 @@ from fiprimes.primes import (
     primes_upto,
 )
 
-from conftest import lambda_lambda_table, spf_factorize, spf_table
+from conftest import lambda_lambda_table, spf_factorize, spf_table, switching_sides
+
+
+def beta2_weights(D: float, sign: int, p_max: int = 49) -> dict[int, int]:
+    """The beta = 2 sieve's map d -> mu(d) over the primes <= p_max, materialised from its chain."""
+    return dict(S._chain(tuple(reversed(primes_upto(p_max).tolist())), D, 2, sign))
+
+
+def theta(weights: dict[int, int], n: int) -> int:
+    return sum(w for d, w in weights.items() if n % d == 0)
 
 
 def test_beta_weights_example():
-    plus, minus = S.beta_sieve_weights(10, 2, [2, 3, 5, 7])
-    assert plus.weights == {1: 1, 2: -1}
-    assert minus.weights == {1: 1, 2: -1, 3: -1, 5: -1, 7: -1}
+    assert beta2_weights(10, +1, 7) == {1: 1, 2: -1}
+    assert beta2_weights(10, -1, 7) == {1: 1, 2: -1, 3: -1, 5: -1, 7: -1}
 
 
 def test_beta_weights_invariants():
-    plus, minus = S.beta_sieve_weights(10**4, 2, [int(p) for p in primes_upto(49)])
-    for ws in (plus, minus):
-        assert ws.weights[1] == 1
-        for d, lam in ws.weights.items():
+    for sign in (+1, -1):
+        weights = beta2_weights(10**4, sign)
+        assert weights[1] == 1
+        for d, lam in weights.items():
             assert abs(lam) <= 1
-            assert d <= ws.level
+            assert d <= 10**4
             facs = distinct_prime_factors(d)
-            assert all(p in ws.prime_range for p in facs)
+            assert all(p <= 49 for p in facs)
             assert math.prod(facs) == d  # squarefree
 
 
-def test_beta_weights_cap():
-    with pytest.raises(ValueError):
-        S.beta_sieve_weights(10**6, 2, [int(p) for p in primes_upto(200)], cap=50)
-
-
 def test_upper_sieve_dominates_indicator():
-    plus, _ = S.beta_sieve_weights(10**4, 2, [int(p) for p in primes_upto(49)])
+    plus = beta2_weights(10**4, +1)
     prod_p = math.prod(int(p) for p in primes_upto(49))
     for n in range(1, 10**5 + 1, 7):
         ind = 1 if math.gcd(n, prod_p) == 1 else 0
-        assert plus.theta(n) >= ind
+        assert theta(plus, n) >= ind
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_chain_evaluation_matches_materialised_weights(sign):
     # z0 = 1 leaves stage 1 empty, so the composed value is the beta = 2 sieve alone
-    ps = [int(p) for p in primes_upto(49)]
-    weights = S.beta_sieve_weights(1e4, 2, ps)[0 if sign > 0 else 1]
+    weights = beta2_weights(1e4, sign)
     for n in range(1, 20001):
         got = S.composed_theta_factored(distinct_prime_factors(n), 1e4, 10.0, 49, 1, sign)
-        assert got == weights.theta(n), n
+        assert got == theta(weights, n), n
 
 
 def test_majorant_params_fixed_values(params_1e5):
@@ -84,60 +85,29 @@ def test_sandwich_exhaustive(x):
         assert tm <= ind <= tp, (x, n)
 
 
-def test_linear_sieve_values():
-    g = S.EULER_GAMMA
-    assert S.linear_sieve_f(2.0) == 0.0
-    assert S.linear_sieve_F(2.0) == pytest.approx(math.exp(g), rel=1e-12)
-    assert S.linear_sieve_F(3.0) == pytest.approx(2 * math.exp(g) / 3, rel=1e-12)
-    # continuity of F at s = 3
-    assert S.linear_sieve_F(3.0 + 1e-9) == pytest.approx(S.linear_sieve_F(3.0), abs=1e-8)
-    with pytest.raises(ValueError):
-        S.linear_sieve_F(0.5)
-    with pytest.raises(ValueError):
-        S.linear_sieve_f(4.5)
-
-
-def test_linear_sieve_F_feeds_c1():
-    # F(s)/(xi1 e^gamma) at s = (2/3 - 2 delta0)/xi1 must reproduce c1
-    from fiprimes.constants import c1_bound
-
-    delta0 = 1e-7
-    s = (2.0 / 3.0 - 2 * delta0) / 0.183
-    lhs = S.linear_sieve_F(s) / (0.183 * math.exp(S.EULER_GAMMA))
-    assert lhs == pytest.approx(c1_bound(0.183, delta0).value, rel=1e-9)
-
-
 def test_pan_r_case_table(params_1e12):
     # constructed l with exactly r mid-range primes and a z-rough cofactor;
-    # z1 = 12.53, z = 38.90 at x = 1e12
+    # z1 = 12.53, z = 38.90 at x = 1e12; both sides doubled
     mids = [13, 17, 19, 23, 29]
     rough = 104729  # prime above z
-    expected = {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(0), 3: Fraction(0),
-                4: Fraction(1, 2), 5: Fraction(3, 2)}
-    for r in range(6):
-        l = rough * math.prod(mids[:r])
-        res = S.pan_inequality_check(l, params_1e12)
-        assert res.mid_factor_count == r
-        assert res.rhs == expected[r], r
-        assert res.holds
-
-
-def test_pan_requires_squarefree(params_1e12):
-    with pytest.raises(ValueError):
-        S.pan_inequality_check(4 * 104729, params_1e12)
+    for r, expected2 in enumerate([2, 1, 0, 0, 1, 3]):
+        lhs2, rhs2 = switching_sides([*mids[:r], rough], params_1e12.z, params_1e12.z1)
+        assert rhs2 == expected2, r
+        assert lhs2 <= rhs2
 
 
 def test_pan_kills_small_factor(params_1e12):
-    res = S.pan_inequality_check(2 * 13 * 104729, params_1e12)
-    assert res.lhs == 0 and res.rhs == 0 and res.holds
+    assert switching_sides([2, 13, 104729], params_1e12.z, params_1e12.z1) == (0, 0)
 
 
 def test_pan_exhaustive_smallrange(params_1e12):
     spf = spf_table(20000)
     for l in range(1, 20000):
-        if any(e > 1 for _, e in spf_factorize(l, spf)):
+        facs = spf_factorize(l, spf)
+        if any(e > 1 for _, e in facs):
             continue
-        assert S.pan_inequality_check(l, params_1e12).holds, l
+        lhs2, rhs2 = switching_sides([p for p, _ in facs], params_1e12.z, params_1e12.z1)
+        assert lhs2 <= rhs2, l
 
 
 def test_r_at_most_five():

@@ -1,6 +1,7 @@
 """Rules on the package source, checked on its syntax tree."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,47 @@ def test_package_has_no_unbounded_cache():
     assert files
     offenders = {f.name: lines for f in files if (lines := unbounded_caches(f.read_text()))}
     assert offenders == {}
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# public functions that nothing in the product or the benchmark names, kept on purpose
+UNREFERENCED_ALLOWED = {
+    "majorant_table": "the bulk route behind acceptance criterion 6: at x = 1e5 it takes "
+                      "0.017 s, where lambda_plus called per n takes 5 s",
+}
+
+
+def _names_used(tree: ast.AST) -> Counter:
+    """How often a syntax tree names each name: loads, attributes and imports."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name] += 1
+    return used
+
+
+def unreferenced_functions(src: Path, others: list[Path]) -> set[str]:
+    """Public top-level functions of the modules in ``src`` that no module of
+    ``src`` or ``others`` names outside their own definition.  Oracles, named
+    ``*_bruteforce`` or ``*_direct``, are exempt: only tests call them."""
+    trees = {f: ast.parse(f.read_text()) for f in [*sorted(src.glob("*.py")), *others]}
+    used = sum(map(_names_used, trees.values()), Counter())
+    return {
+        node.name
+        for f, tree in trees.items() if f.parent == src
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not node.name.endswith(("_bruteforce", "_direct"))
+        and used[node.name] == _names_used(node)[node.name]
+    }
+
+
+def test_every_public_function_is_reached():
+    # a function only its own tests call is code a reader must trust for no output
+    found = unreferenced_functions(SRC, sorted(PERFBENCH.glob("*.py")))
+    assert found == set(UNREFERENCED_ALLOWED)
