@@ -320,6 +320,9 @@ def _dispatch(args) -> int:
     if cmd == "constants":
         from .constants import ALPHA_PLUS_BOUND, alpha_plus
 
+        for flag in ("xi", "xi1", "delta0"):
+            if not math.isfinite(getattr(args, flag)):
+                raise ValueError(f"--{flag} must be finite, got {getattr(args, flag)}")
         res = alpha_plus(xi1=args.xi1, xi=args.xi, delta0=args.delta0)
         payload = {
             "c1": res.c1.value, "c2": res.c2.value, "c3": res.c3.value,

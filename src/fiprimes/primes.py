@@ -662,14 +662,17 @@ def _write_cache(path: Path, limit: int, arr: np.ndarray) -> None:
 
     Readers see the old file or the new one, never a partial one.  There is
     no fsync: a file torn by a crash fails its count or CRC and is rebuilt.
+    The CRC and the write read the table's own buffer (an int64 table on a
+    little-endian machine is not copied), and the header is written first.
     """
-    body = arr.astype("<i8", copy=False).tobytes()
+    body = np.ascontiguousarray(arr, dtype="<i8")
     header = f"{CACHE_HEADER} {limit} {len(arr)} {zlib.crc32(body)}\n".encode("ascii")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header + body)
+            fh.write(header)
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

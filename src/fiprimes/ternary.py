@@ -23,6 +23,7 @@ at q = 2).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,8 +69,13 @@ def find_representation(
     """Smallest witness (p1, p2, p3) with p1 <= p2 <= p3 summing to x, if any.
 
     A caller-supplied ``table`` must be sorted and cover [2, x]; pass its
-    limit so coverage can be validated.  Only x = 3 (4) can be a sum of three
-    FI primes, so any other x gives None.
+    limit so coverage can be validated.  Every entry of the table, also
+    above x, must be 1 (mod 4), or ValueError is raised.  That check is
+    O(table), but ``_check_residues`` runs it once per table whose memory
+    nothing can write (a cache hit of ``fi_primes_upto``), so repeated
+    queries on such a table cost O(witness): the search of
+    ``_smallest_witness``.  Only x = 3 (4) can be a sum of three FI primes,
+    so any other x gives None.
     """
     if x < 3:
         raise ValueError("x must be >= 3")
@@ -78,9 +84,8 @@ def find_representation(
     if x % 4 != 3:
         return None
     fi = table if table is not None else fi_primes_upto(x)
-    fi = fi[: np.searchsorted(fi, x, side="right")]
     _check_residues(fi)
-    return _smallest_witness(x, fi)
+    return _smallest_witness(x, fi[: np.searchsorted(fi, x, side="right")])
 
 
 def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]:
@@ -212,8 +217,39 @@ def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: i
     return first
 
 
+# The tables that passed ``_check_residues`` and whose memory nothing can
+# write: id -> (weak reference, layout).  An entry leaves when its table dies.
+_PASSED: dict[int, tuple[weakref.ref, tuple]] = {}
+
+
 def _check_residues(fi: np.ndarray) -> None:
-    """FI primes are 1 (mod 4); any other entry raises ValueError."""
+    """FI primes are 1 (mod 4); any other entry of ``fi`` raises ValueError.
+
+    The scan is O(len(fi)).  It runs only once, and later calls are O(1),
+    for a table whose ``.base`` chain ends at a ``bytes`` object, as a
+    cache hit of ``fi_primes_upto`` does (``np.frombuffer``): numpy makes
+    neither that array nor any view of it writable, so its entries cannot
+    change after they pass.  The pass is kept for that array object only,
+    under a weak reference with its data pointer, dtype, shape and strides,
+    so a dead table, a reused id or a reinterpreted view is scanned afresh.
+    Every other table, writable or a read-only view of writable memory, is
+    scanned on every call, and a failure is never kept.
+    """
+    key = id(fi)
+    layout = (fi.ctypes.data, fi.dtype, fi.shape, fi.strides)
+    seen = _PASSED.get(key)
+    if seen is not None and seen[0]() is fi and seen[1] == layout:
+        return
+    _scan_residues(fi)
+    base = fi
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if type(base) is bytes and not fi.flags.writeable:
+        _PASSED[key] = (weakref.ref(fi, lambda ref: _PASSED.pop(key, None)), layout)
+
+
+def _scan_residues(fi: np.ndarray) -> None:
+    """The O(len(fi)) pass of ``_check_residues``."""
     bad = (fi & 3) != 1
     if np.any(bad):
         raise ValueError(f"FI primes are 1 (mod 4); got {int(fi[bad][0])}")

@@ -254,7 +254,10 @@ def test_negative_sizes_exit_1(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv, needle", [
-    ("constants --delta0 nan", "NaN in the integral"),
+    *(
+        (f"constants {flag} {value}", f"{flag} must be finite, got {value}")
+        for flag in ("--xi", "--xi1", "--delta0") for value in ("nan", "inf")
+    ),
     ("expsum s0 --gamma 1/0", "--gamma"),
     ("expsum s0 --gamma inf", "--gamma"),
     ("expsum minsum --gamma 1/0", "--gamma"),
@@ -268,12 +271,13 @@ def test_negative_sizes_exit_1(argv, message, capsys):
     ("lq --x 1e5 --w-override 1000", "--w-override"),
 ])
 def test_bad_flag_values_exit_1(argv, needle, capsys, monkeypatch):
-    from fiprimes import ternary
+    from fiprimes import constants, ternary
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("built the sequence before checking the flags")
+    def no_run(*args, **kwargs):
+        raise AssertionError("computed before checking the flags")
 
-    monkeypatch.setattr(ternary, "wtrick_build", no_build)
+    monkeypatch.setattr(ternary, "wtrick_build", no_run)
+    monkeypatch.setattr(constants, "alpha_plus", no_run)
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -48,6 +49,84 @@ def test_non_fi_residue_rejected():
         T.scan_exceptions(100, fi=bad)
     with pytest.raises(ValueError):
         T.find_representation(99, table=bad, table_limit=100)
+
+
+def _cache_loaded(limit, tmp_path):
+    """The table of ``fi_primes_upto(limit)`` as a cache hit: bytes-backed, read-only."""
+    fi_primes_upto(limit, cache_dir=tmp_path)
+    table = fi_primes_upto(limit, cache_dir=tmp_path)
+    assert not table.flags.writeable
+    return table
+
+
+def test_bad_bytes_backed_table_raises_on_every_call():
+    bad = np.frombuffer(np.array([5, 7, 13], dtype="<i8").tobytes(), dtype="<i8")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="got 7"):
+            T.find_representation(99, table=bad, table_limit=100)
+
+
+def test_bad_entry_above_x_raises():
+    # the whole table is checked, not only its prefix <= x
+    fi = np.append(fi_primes_upto(100), 103)  # 103 = 3 (4)
+    with pytest.raises(ValueError, match="got 103"):
+        T.find_representation(15, table=fi, table_limit=103)
+
+
+def test_writable_table_is_checked_on_every_call():
+    fi = fi_primes_upto(1000).copy()
+    assert T.find_representation(87, table=fi, table_limit=1000).validate()
+    fi[-1] = 999
+    with pytest.raises(ValueError, match="got 999"):
+        T.find_representation(87, table=fi, table_limit=1000)
+
+
+def test_read_only_view_of_writable_table_is_checked_on_every_call():
+    base = fi_primes_upto(1000).copy()
+    view = base[:]
+    view.flags.writeable = False
+    assert T.find_representation(87, table=view, table_limit=1000).validate()
+    base[-1] = 999
+    with pytest.raises(ValueError, match="got 999"):
+        T.find_representation(87, table=view, table_limit=1000)
+
+
+def test_reinterpreted_cache_table_is_checked_afresh(tmp_path):
+    table = _cache_loaded(1000, tmp_path)
+    assert T.find_representation(87, table=table, table_limit=1000).validate()
+    # the high words of the int64 entries read as int32 zeros
+    with pytest.raises(ValueError, match="got 0"):
+        T.find_representation(87, table=table.view("<i4"), table_limit=1000)
+    same = table[:]
+    assert T.find_representation(87, table=same, table_limit=1000).validate()
+    same.dtype = "<i4"  # the same object, reinterpreted in place
+    with pytest.raises(ValueError, match="got 0"):
+        T.find_representation(87, table=same, table_limit=1000)
+
+
+def test_residue_scan_runs_once_per_cache_loaded_table(tmp_path, monkeypatch):
+    table = _cache_loaded(10**5, tmp_path)
+    scanned = []
+    scan = T._scan_residues
+    monkeypatch.setattr(T, "_scan_residues", lambda fi: scanned.append(len(fi)) or scan(fi))
+    xs = range(10**5 - 197, 10**5, 4)
+    assert len(xs) == 50
+    for x in xs:
+        assert T.find_representation(x, table=table, table_limit=10**5).validate()
+    assert scanned == [len(table)]
+    # the memo holds no reference to the table, and forgets it when it dies
+    key, ref = id(table), weakref.ref(table)
+    del table
+    assert ref() is None and key not in T._PASSED
+
+
+def test_cache_loaded_witnesses_match_the_search(tmp_path):
+    X = 10**5
+    table = _cache_loaded(X, tmp_path)
+    fi = fi_primes_upto(X)
+    for x in range(3, X + 1, 4):
+        expected = T._smallest_witness(x, fi[: np.searchsorted(fi, x, side="right")])
+        assert T.find_representation(x, table=table, table_limit=X) == expected, x
 
 
 def test_exceptions_small():
