@@ -40,6 +40,7 @@ import itertools
 import math
 import os
 import tempfile
+import weakref
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -590,6 +591,11 @@ def fi_weighted_count_bruteforce(x: int) -> float:
 CACHE_HEADER = "fi-cache v3"
 CACHE_ENV = "FI_CACHE_DIR"
 
+# The tables ``_load_cache`` built on the bytes of a cache file, by id.
+# ``np.frombuffer`` over ``bytes`` gives an array that numpy makes neither
+# writable nor the base of a writable view, so nothing can change them.
+_CACHE_ROOTS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
 
 def fi_primes_upto(limit: int, cache_dir: Optional[str | Path] = None) -> np.ndarray:
     """Sorted array of all FI primes <= limit.
@@ -654,6 +660,7 @@ def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
     # np.diff would hold 8
     if len(arr) and (np.any(arr[1:] <= arr[:-1]) or arr[-1] > cache_limit or arr[0] < 5):
         return None
+    _CACHE_ROOTS[id(arr)] = arr
     return cache_limit, arr
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .local import reference_H, xi
 from .primes import (
     CONVENTION_MULTIPLIER,
+    _CACHE_ROOTS,
     _occurring,
     _prime_power_arrays,
     _prime_power_rows,
@@ -71,11 +72,13 @@ def find_representation(
     A caller-supplied ``table`` must be sorted and cover [2, x]; pass its
     limit so coverage can be validated.  Every entry of the table, also
     above x, must be 1 (mod 4), or ValueError is raised.  That check is
-    O(table), but ``_check_residues`` runs it once per table whose memory
-    nothing can write (a cache hit of ``fi_primes_upto``), so repeated
+    O(table).  ``_check_residues`` runs it once per table that nothing can
+    write, a cache hit of ``fi_primes_upto`` or a view of one, so repeated
     queries on such a table cost O(witness): the search of
-    ``_smallest_witness``.  Only x = 3 (4) can be a sum of three FI primes,
-    so any other x gives None.
+    ``_smallest_witness``.  Any other table, writable or not, is scanned in
+    full on every call, so for many small x cut it to the largest x first.
+    Only x = 3 (4) can be a sum of three FI primes, so any other x gives
+    None.
     """
     if x < 3:
         raise ValueError("x must be >= 3")
@@ -217,35 +220,34 @@ def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: i
     return first
 
 
-# The tables that passed ``_check_residues`` and whose memory nothing can
-# write: id -> (weak reference, layout).  An entry leaves when its table dies.
-_PASSED: dict[int, tuple[weakref.ref, tuple]] = {}
+# The tables that passed ``_check_residues`` and that nothing can write,
+# keyed by id and layout.  An entry leaves when its table dies.
+_PASSED: weakref.WeakValueDictionary[tuple, np.ndarray] = weakref.WeakValueDictionary()
 
 
 def _check_residues(fi: np.ndarray) -> None:
     """FI primes are 1 (mod 4); any other entry of ``fi`` raises ValueError.
 
     The scan is O(len(fi)).  It runs only once, and later calls are O(1),
-    for a table whose ``.base`` chain ends at a ``bytes`` object, as a
-    cache hit of ``fi_primes_upto`` does (``np.frombuffer``): numpy makes
-    neither that array nor any view of it writable, so its entries cannot
-    change after they pass.  The pass is kept for that array object only,
-    under a weak reference with its data pointer, dtype, shape and strides,
-    so a dead table, a reused id or a reinterpreted view is scanned afresh.
-    Every other table, writable or a read-only view of writable memory, is
-    scanned on every call, and a failure is never kept.
+    for a cache hit of ``fi_primes_upto`` or any view of one: an array whose
+    ``.base`` chain ends at a table ``_load_cache`` built, which numpy makes
+    neither writable nor the base of a writable view, so its entries cannot
+    change after they pass.  A chain that merely ends at ``bytes`` does not
+    qualify: an unpickled array has a ``bytes`` base and is writable.  The
+    pass is kept for that array object only, keyed by its id, data pointer,
+    dtype, shape and strides, so a dead table, a reused id or a
+    reinterpreted view is scanned afresh.  Every other table is scanned on
+    every call, and a failure is never kept.
     """
-    key = id(fi)
-    layout = (fi.ctypes.data, fi.dtype, fi.shape, fi.strides)
-    seen = _PASSED.get(key)
-    if seen is not None and seen[0]() is fi and seen[1] == layout:
+    key = (id(fi), fi.ctypes.data, fi.dtype, fi.shape, fi.strides)
+    if _PASSED.get(key) is fi:
         return
     _scan_residues(fi)
-    base = fi
-    while isinstance(base, np.ndarray):
-        base = base.base
-    if type(base) is bytes and not fi.flags.writeable:
-        _PASSED[key] = (weakref.ref(fi, lambda ref: _PASSED.pop(key, None)), layout)
+    root = fi
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if _CACHE_ROOTS.get(id(root)) is root:
+        _PASSED[key] = fi
 
 
 def _scan_residues(fi: np.ndarray) -> None:

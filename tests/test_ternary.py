@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import tracemalloc
 import weakref
 
@@ -81,14 +82,34 @@ def test_writable_table_is_checked_on_every_call():
         T.find_representation(87, table=fi, table_limit=1000)
 
 
-def test_read_only_view_of_writable_table_is_checked_on_every_call():
-    base = fi_primes_upto(1000).copy()
+def _unpickled(limit):
+    """``fi_primes_upto(limit)`` through pickle: writable, yet on a ``bytes`` base."""
+    table = pickle.loads(pickle.dumps(fi_primes_upto(limit), protocol=4))
+    assert type(table.base) is bytes and table.flags.writeable
+    return table
+
+
+@pytest.mark.parametrize("writable", [lambda n: fi_primes_upto(n).copy(), _unpickled], ids=["copy", "unpickled"])
+def test_read_only_view_of_writable_table_is_checked_on_every_call(writable):
+    base = writable(10**4)
     view = base[:]
     view.flags.writeable = False
-    assert T.find_representation(87, table=view, table_limit=1000).validate()
+    assert T.find_representation(87, table=view, table_limit=10**4).validate()
     base[-1] = 999
     with pytest.raises(ValueError, match="got 999"):
-        T.find_representation(87, table=view, table_limit=1000)
+        T.find_representation(87, table=view, table_limit=10**4)
+
+
+def test_read_only_unpickled_table_is_checked_on_every_call():
+    # every array on the chain is read-only, but a view made before can write
+    base = _unpickled(10**4)
+    writer = base[:]
+    base.flags.writeable = False
+    view = base[:]
+    assert T.find_representation(87, table=view, table_limit=10**4).validate()
+    writer[-1] = 999
+    with pytest.raises(ValueError, match="got 999"):
+        T.find_representation(87, table=view, table_limit=10**4)
 
 
 def test_reinterpreted_cache_table_is_checked_afresh(tmp_path):
@@ -117,7 +138,7 @@ def test_residue_scan_runs_once_per_cache_loaded_table(tmp_path, monkeypatch):
     # the memo holds no reference to the table, and forgets it when it dies
     key, ref = id(table), weakref.ref(table)
     del table
-    assert ref() is None and key not in T._PASSED
+    assert ref() is None and all(k[0] != key for k in T._PASSED.keys())
 
 
 def test_cache_loaded_witnesses_match_the_search(tmp_path):
