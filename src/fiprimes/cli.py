@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .constants import DELTA0, XI, XI1
+
 SCHEMA = "fi/1"
 
 
@@ -154,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("constants", help="the three density integrals and alpha_plus")
-    p.add_argument("--xi", type=float, default=0.265)
-    p.add_argument("--xi1", type=float, default=0.183)
-    p.add_argument("--delta0", type=float, default=1e-7)
+    p.add_argument("--xi", type=float, default=XI)
+    p.add_argument("--xi1", type=float, default=XI1)
+    p.add_argument("--delta0", type=float, default=DELTA0)
     _add_common(p)
 
     p = sub.add_parser("lattice", help="star lattice: discriminant, basis, counts")

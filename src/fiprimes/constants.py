@@ -1,6 +1,6 @@
 """The three density-bound integrals and the headline constant alpha_plus.
 
-With xi = 0.265, xi1 = 0.183, delta0 = 1e-7 and a = 2/3 - 2 delta0:
+With xi = XI, xi1 = XI1, delta0 = DELTA0 and a = 2/3 - 2 delta0:
 
     c1 = (2/a) (1 + int_2^(a/xi1 - 1) log(t-1)/t dt)
     c2 = - int_(xi1)^(xi) log((a - t)/xi1 - 1) / (t (a - t)) dt
@@ -36,6 +36,11 @@ import numpy as np
 from .buchstab import buchstab_B
 from .quadrature import adaptive_simpson
 
+# the paper's sieve parameters, read by the majorant and the constants alike
+XI = 0.265
+XI1 = 0.183
+DELTA0 = 1e-7
+
 ALPHA_MINUS = 0.999
 ALPHA_PLUS_BOUND = 2.9739
 ALPHA_PLUS_FLOOR = 2.85
@@ -52,7 +57,7 @@ class QuadratureResult:
     grid: int
 
 
-def c1_bound(xi1: float = 0.183, delta0: float = 1e-7) -> QuadratureResult:
+def c1_bound(xi1: float = XI1, delta0: float = DELTA0) -> QuadratureResult:
     """(2/a)(1 + int_2^(s-1) log(t-1)/t dt) with s = a/xi1, a = 2/3 - 2 delta0."""
     if not 0.0 < xi1 < 2.0 / 3.0:
         raise ValueError("need 0 < xi1 < 2/3")
@@ -65,7 +70,7 @@ def c1_bound(xi1: float = 0.183, delta0: float = 1e-7) -> QuadratureResult:
 
 
 def c2_bound(
-    xi1: float = 0.183, xi: float = 0.265, delta0: float = 1e-7
+    xi1: float = XI1, xi: float = XI, delta0: float = DELTA0
 ) -> QuadratureResult:
     """Negative of int_(xi1)^(xi) log((a-t)/xi1 - 1)/(t (a-t)) dt."""
     a = 2.0 / 3.0 - 2.0 * delta0
@@ -109,9 +114,9 @@ def _c3_midpoint(xi1: float, xi: float, n: int) -> float:
 
 
 def c3_bound(
-    xi1: float = 0.183,
-    xi: float = 0.265,
-    delta0: float = 1e-7,
+    xi1: float = XI1,
+    xi: float = XI,
+    delta0: float = DELTA0,
     tol: float = 1e-5,
     start_grid: int = 32,
     max_grid: int = 2048,
@@ -153,7 +158,7 @@ class AlphaPlusResult:
 
 
 @lru_cache(maxsize=8)
-def alpha_plus(xi1: float = 0.183, xi: float = 0.265, delta0: float = 1e-7) -> AlphaPlusResult:
+def alpha_plus(xi1: float = XI1, xi: float = XI, delta0: float = DELTA0) -> AlphaPlusResult:
     """c1 + c2 + c3 at the given parameters, band-checked.
 
     Raises BandViolation if the total leaves [2.85, 2.9739] or fails to stay

@@ -25,27 +25,6 @@ class GaussianInt:
         """Squared modulus re^2 + im^2."""
         return self.re * self.re + self.im * self.im
 
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def scale(self, c: int) -> "GaussianInt":
-        return GaussianInt(c * self.re, c * self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

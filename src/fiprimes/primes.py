@@ -360,16 +360,12 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
     n = k^2 + l^2 <= x with k >= 1 and l prime, once per pair, in increasing
     l.  An l with no k >= 1 yields nothing.  Within a block ns is strictly
     increasing, so ``table[ns] += w`` adds w exactly once to each entry.
-    Every pair sum over n <= x (LL, FI primes, the Type I inner weights,
-    the sieve majorant) is a reduction over these blocks.
 
-    Parity: an odd k with an odd l gives an even n > 2, which is neither a
-    prime nor a prime power.  ``fi_weighted_count``, the FI-prime table and
-    ``wtrick_build`` need only primes and prime powers, so they read the
-    rows of ``_prime_power_rows`` instead: the even k of each odd-l block
-    and every k of the l = 2 block (8 = 2^2 + 2^2 carries Lambda(8)), each
-    n with its primality from the row sieve.  ``inner_weight_table`` and
-    the sieve majorant visit all pairs here.
+    ``inner_weight_table`` and the sieve majorant reduce over these blocks.
+    ``fi_weighted_count``, the FI primes and ``wtrick_build`` need only
+    primes and prime powers, so they read ``_prime_power_rows`` instead,
+    which drops the odd k of each odd-l block (n is even and > 2 there) and
+    keeps the l = 2 block whole (8 = 2^2 + 2^2 carries Lambda(8)).
     """
     if ls is None:
         ls = primes_upto(math.isqrt(x - 1)) if x >= 5 else ()
@@ -591,9 +587,7 @@ def fi_weighted_count_bruteforce(x: int) -> float:
 CACHE_HEADER = "fi-cache v3"
 CACHE_ENV = "FI_CACHE_DIR"
 
-# The tables ``_load_cache`` built on the bytes of a cache file, by id.
-# ``np.frombuffer`` over ``bytes`` gives an array that numpy makes neither
-# writable nor the base of a writable view, so nothing can change them.
+# The tables ``_load_cache`` built and checked, by id: see ``check_fi_residues``.
 _CACHE_ROOTS: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
@@ -660,8 +654,41 @@ def _load_cache(path: Path) -> Optional[tuple[int, np.ndarray]]:
     # np.diff would hold 8
     if len(arr) and (np.any(arr[1:] <= arr[:-1]) or arr[-1] > cache_limit or arr[0] < 5):
         return None
+    if _bad_residue(arr) is not None:
+        return None
     _CACHE_ROOTS[id(arr)] = arr
     return cache_limit, arr
+
+
+def check_fi_residues(fi: np.ndarray) -> None:
+    """FI primes are 1 (mod 4); any other entry of ``fi`` raises ValueError.
+
+    ``_load_cache`` checks every entry of the tables it builds on ``bytes``,
+    which numpy makes neither writable nor the base of a writable view.  A
+    view of one with the table's dtype, both aligned, starts and steps on the
+    8-byte entries, so it needs no scan; one at a 4-byte offset, or of another
+    dtype, reads bytes the load never checked as entries.  Every other table,
+    also an unpickled one (writable, on ``bytes``), is scanned in full,
+    O(len(fi)), on every call.
+    """
+    root = fi
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if _CACHE_ROOTS.get(id(root)) is root and fi.dtype == root.dtype:
+        if fi.flags.aligned and root.flags.aligned:
+            return
+    bad = _bad_residue(fi)
+    if bad is not None:
+        raise ValueError(f"FI primes are 1 (mod 4); got {bad}")
+
+
+def _bad_residue(fi: np.ndarray) -> Optional[int]:
+    """The first entry of ``fi`` that is not 1 (mod 4), or None.  Each residue
+    goes into one byte: 2 bytes of temporaries per entry, where
+    ``(fi & 3) != 1`` holds 9 for an int64 table."""
+    low = np.bitwise_and(fi, 3, out=np.empty(fi.shape, np.uint8), casting="unsafe")
+    bad = low != 1
+    return int(fi[bad][0]) if bad.any() else None
 
 
 def _write_cache(path: Path, limit: int, arr: np.ndarray) -> None:

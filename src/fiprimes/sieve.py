@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .buchstab import rough_indicator
+from .constants import DELTA0, XI, XI1
 from .primes import (
     check_bytes,
     distinct_prime_factors,
@@ -42,7 +43,7 @@ from .primes import (
 
 @dataclass(frozen=True)
 class MajorantParams:
-    """Fixed parameter set for the majorant at scale x.
+    """The majorant's levels and ranges at scale x, from ``XI``, ``XI1`` and ``DELTA0``.
 
     The orderings z0 < z1 < z and z1 < D1 hold only for astronomically large
     x; at desk scales z0 typically exceeds z1 and the beta=2 stage of the
@@ -50,23 +51,18 @@ class MajorantParams:
     """
 
     x: int
-    xi: float = 0.265
-    xi1: float = 0.183
-    delta0: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.x < 16:
             raise ValueError("x must be >= 16")
-        if not 0 < self.xi1 < self.xi < 1:
-            raise ValueError("need 0 < xi1 < xi < 1")
 
     @property
     def z(self) -> float:
-        return self.x ** (self.xi / 2)
+        return self.x ** (XI / 2)
 
     @property
     def z1(self) -> float:
-        return self.x ** (self.xi1 / 2)
+        return self.x ** (XI1 / 2)
 
     @property
     def z0(self) -> float:
@@ -78,15 +74,15 @@ class MajorantParams:
 
     @property
     def D1(self) -> float:
-        return self.x ** (1.0 / 3.0 - self.delta0)
+        return self.x ** (1.0 / 3.0 - DELTA0)
 
     @property
     def omega_level(self) -> float:
-        return self.x ** (0.5 - self.delta0)
+        return self.x ** (0.5 - DELTA0)
 
     @property
     def omega_range(self) -> float:
-        return self.x ** (0.5 - 2.0 * self.delta0)
+        return self.x ** (0.5 - 2.0 * DELTA0)
 
     @property
     def log_sqrt_x(self) -> float:
@@ -233,7 +229,7 @@ class MajorantTable:
     error: np.ndarray
 
 
-def majorant_table(x: int, params: Optional[MajorantParams] = None) -> MajorantTable:
+def majorant_table(x: int) -> MajorantTable:
     """Vectorised Lambda_plus over all n <= x via (k, l) pair iteration.
 
     Six float64 tables of x + 1 stay alive (s1, s2 and s3 are rows of one
@@ -242,8 +238,7 @@ def majorant_table(x: int, params: Optional[MajorantParams] = None) -> MajorantT
     (tracemalloc peak: 57.96 at x = 10^5, 56.87 at 10^6, 56.60 at 10^7).
     """
     check_bytes(58 * (x + 1), f"majorant table to {x}")
-    params = params or MajorantParams(x=x)
-    ev = MajorantEvaluator(params)
+    ev = MajorantEvaluator(MajorantParams(x=x))
     s1, s2, s3, se2 = sums = np.zeros((4, x + 1))
     # the majorant's inner variable l runs over all integers, not only primes
     for l, ns in fi_pairs(x, range(1, math.isqrt(x - 1) + 1)):

@@ -23,7 +23,6 @@ at q = 2).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,12 +31,12 @@ import numpy as np
 from .local import reference_H, xi
 from .primes import (
     CONVENTION_MULTIPLIER,
-    _CACHE_ROOTS,
     _occurring,
     _prime_power_arrays,
     _prime_power_rows,
     _row_sieve_bytes,
     check_bytes,
+    check_fi_residues,
     euler_phi,
     fi_primes_upto,
     is_fi_prime,
@@ -69,16 +68,10 @@ def find_representation(
 ) -> Optional[RepresentationWitness]:
     """Smallest witness (p1, p2, p3) with p1 <= p2 <= p3 summing to x, if any.
 
-    A caller-supplied ``table`` must be sorted and cover [2, x]; pass its
-    limit so coverage can be validated.  Every entry of the table, also
-    above x, must be 1 (mod 4), or ValueError is raised.  That check is
-    O(table).  ``_check_residues`` runs it once per table that nothing can
-    write, a cache hit of ``fi_primes_upto`` or a view of one, so repeated
-    queries on such a table cost O(witness): the search of
-    ``_smallest_witness``.  Any other table, writable or not, is scanned in
-    full on every call, so for many small x cut it to the largest x first.
-    Only x = 3 (4) can be a sum of three FI primes, so any other x gives
-    None.
+    A caller-supplied ``table`` must be sorted, cover [2, x] (pass its limit
+    so coverage can be validated) and hold only 1 (mod 4) entries, also
+    above x; ``check_fi_residues`` raises ValueError otherwise.  Only
+    x = 3 (4) can be a sum of three FI primes, so any other x gives None.
     """
     if x < 3:
         raise ValueError("x must be >= 3")
@@ -87,7 +80,7 @@ def find_representation(
     if x % 4 != 3:
         return None
     fi = table if table is not None else fi_primes_upto(x)
-    _check_residues(fi)
+    check_fi_residues(fi)
     return _smallest_witness(x, fi[: np.searchsorted(fi, x, side="right")])
 
 
@@ -167,7 +160,7 @@ def _fi_bitmap(X: int, fi: Optional[np.ndarray], per_index: int) -> tuple[np.nda
     check_bytes(per_index * (M + 1), f"ternary scan to {X}")
     if fi is None:
         fi = fi_primes_upto(X)
-    _check_residues(fi)
+    check_fi_residues(fi)
     idx = fi >> 2
     in_fi = np.zeros(M + 1, dtype=bool)
     in_fi[idx[idx <= M]] = True
@@ -218,43 +211,6 @@ def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: i
         first[at[hit]] = s
         targets, at = targets[~hit], at[~hit]
     return first
-
-
-# The tables that passed ``_check_residues`` and that nothing can write,
-# keyed by id and layout.  An entry leaves when its table dies.
-_PASSED: weakref.WeakValueDictionary[tuple, np.ndarray] = weakref.WeakValueDictionary()
-
-
-def _check_residues(fi: np.ndarray) -> None:
-    """FI primes are 1 (mod 4); any other entry of ``fi`` raises ValueError.
-
-    The scan is O(len(fi)).  It runs only once, and later calls are O(1),
-    for a cache hit of ``fi_primes_upto`` or any view of one: an array whose
-    ``.base`` chain ends at a table ``_load_cache`` built, which numpy makes
-    neither writable nor the base of a writable view, so its entries cannot
-    change after they pass.  A chain that merely ends at ``bytes`` does not
-    qualify: an unpickled array has a ``bytes`` base and is writable.  The
-    pass is kept for that array object only, keyed by its id, data pointer,
-    dtype, shape and strides, so a dead table, a reused id or a
-    reinterpreted view is scanned afresh.  Every other table is scanned on
-    every call, and a failure is never kept.
-    """
-    key = (id(fi), fi.ctypes.data, fi.dtype, fi.shape, fi.strides)
-    if _PASSED.get(key) is fi:
-        return
-    _scan_residues(fi)
-    root = fi
-    while isinstance(root.base, np.ndarray):
-        root = root.base
-    if _CACHE_ROOTS.get(id(root)) is root:
-        _PASSED[key] = fi
-
-
-def _scan_residues(fi: np.ndarray) -> None:
-    """The O(len(fi)) pass of ``_check_residues``."""
-    bad = (fi & 3) != 1
-    if np.any(bad):
-        raise ValueError(f"FI primes are 1 (mod 4); got {int(fi[bad][0])}")
 
 
 def scan_exceptions_direct(X: int) -> np.ndarray:

@@ -230,7 +230,7 @@ def test_criterion_6_majorization():
     ok = False
     try:
         x = 10**5
-        table = S.majorant_table(x, S.MajorantParams(x=x))
+        table = S.majorant_table(x)
         ll = lambda_lambda_table(x)
         violations = int(np.count_nonzero(ll > table.lam_plus + 1e-9))
         assert violations == 0

@@ -391,7 +391,14 @@ def _edited(data):
     return head + nl + arr.tobytes()
 
 
-@pytest.mark.parametrize("damage", [_torn, _torn_aligned, _v1, _v2, _edited])
+def _bad_residue(data):
+    """A valid count and CRC over a sorted body holding 15 = 3 (mod 4)."""
+    arr = np.frombuffer(data.partition(b"\n")[2], dtype="<i8")
+    assert arr[1] == 13 and arr[2] > 15
+    return cache_file(10_000, np.insert(arr, 2, 15))
+
+
+@pytest.mark.parametrize("damage", [_torn, _torn_aligned, _v1, _v2, _edited, _bad_residue])
 def test_fi_cache_rejects_torn_stale_or_edited(tmp_path, damage):
     full = P.fi_primes_upto(10_000, cache_dir=tmp_path)
     assert len(full) == 346

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fiprimes import primes as P, sieve as S
+from fiprimes import constants as C, primes as P, sieve as S
 from fiprimes.primes import (
     distinct_prime_factors,
     factorize,
@@ -59,7 +59,7 @@ def test_chain_evaluation_matches_materialised_weights(sign):
 
 def test_majorant_params_fixed_values(params_1e5):
     p = params_1e5
-    assert p.xi == 0.265 and p.xi1 == 0.183 and p.delta0 == 1e-7
+    assert (C.XI, C.XI1, C.DELTA0) == (0.265, 0.183, 1e-7)
     assert p.z == pytest.approx((10**5) ** (0.265 / 2), rel=1e-14)
     assert p.z1 < p.z < p.D1 < p.omega_range < p.omega_level < 10**5
 
@@ -139,8 +139,7 @@ def test_majorant_weight_divisor_bound(params_1e5):
 
 def test_majorization_exhaustive_small():
     x = 2 * 10**4
-    params = S.MajorantParams(x=x)
-    table = S.majorant_table(x, params)
+    table = S.majorant_table(x)
     ll = lambda_lambda_table(x)
     assert not np.any(ll > table.lam_plus + 1e-9)
 
@@ -157,7 +156,7 @@ def test_majorant_table_over_the_byte_budget_raises_before_allocating(monkeypatc
 
 def test_majorant_error_sum_band():
     for x in (10**5, 10**6):
-        table = S.majorant_table(x, S.MajorantParams(x=x))
+        table = S.majorant_table(x)
         assert np.abs(table.error).sum() <= x**0.95
 
 

@@ -72,20 +72,48 @@ def _names_used(tree: ast.AST) -> Counter:
     return used
 
 
+def _public_defs(tree: ast.Module):
+    """(label, def) for the top-level functions and the methods and
+    properties of the top-level classes, a method labelled ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreferenced_functions(src: Path, others: list[Path]) -> set[str]:
-    """Public top-level functions of the modules in ``src`` that no module of
-    ``src`` or ``others`` names outside their own definition.  Oracles, named
-    ``*_bruteforce`` or ``*_direct``, are exempt: only tests call them."""
+    """Public functions, methods and properties of the modules in ``src``
+    that no module of ``src`` or ``others`` names outside their own
+    definition.  Oracles, named ``*_bruteforce`` or ``*_direct``, are
+    exempt: only tests call them.  Dunders start with ``_`` and stay out,
+    since operators call them without naming them."""
     trees = {f: ast.parse(f.read_text()) for f in [*sorted(src.glob("*.py")), *others]}
     used = sum(map(_names_used, trees.values()), Counter())
     return {
-        node.name
+        label
         for f, tree in trees.items() if f.parent == src
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for label, node in _public_defs(tree)
+        if not node.name.startswith("_")
         and not node.name.endswith(("_bruteforce", "_direct"))
         and used[node.name] == _names_used(node)[node.name]
     }
+
+
+def test_unreferenced_detector_reports_an_unnamed_method(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def named(self): return 1\n"
+        "    def unnamed(self): return 2\n"
+        "    @property\n"
+        "    def prop(self): return 3\n"
+        "    def __add__(self, other): return self\n"
+        "def f(a): return a.named() + a.prop\n"
+        "total = f(A() + A())\n"
+    )
+    assert unreferenced_functions(tmp_path, []) == {"A.unnamed"}
 
 
 def test_every_public_function_is_reached():

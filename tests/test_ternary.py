@@ -123,22 +123,29 @@ def test_reinterpreted_cache_table_is_checked_afresh(tmp_path):
     same.dtype = "<i4"  # the same object, reinterpreted in place
     with pytest.raises(ValueError, match="got 0"):
         T.find_representation(87, table=same, table_limit=1000)
+    # the same dtype at a 4-byte offset: each entry joins the halves of two
+    shifted = np.ndarray((len(table) - 1,), "<i8", buffer=table, offset=4)
+    assert not shifted.flags.aligned
+    with pytest.raises(ValueError):
+        T.find_representation(87, table=shifted, table_limit=1000)
 
 
 def test_residue_scan_runs_once_per_cache_loaded_table(tmp_path, monkeypatch):
-    table = _cache_loaded(10**5, tmp_path)
     scanned = []
-    scan = T._scan_residues
-    monkeypatch.setattr(T, "_scan_residues", lambda fi: scanned.append(len(fi)) or scan(fi))
+    scan = P._bad_residue
+    monkeypatch.setattr(P, "_bad_residue", lambda fi: scanned.append(len(fi)) or scan(fi))
+    table = _cache_loaded(10**5, tmp_path)
+    assert scanned == [len(table)]  # by the load, before any query
     xs = range(10**5 - 197, 10**5, 4)
     assert len(xs) == 50
     for x in xs:
         assert T.find_representation(x, table=table, table_limit=10**5).validate()
     assert scanned == [len(table)]
-    # the memo holds no reference to the table, and forgets it when it dies
-    key, ref = id(table), weakref.ref(table)
-    del table
-    assert ref() is None and all(k[0] != key for k in T._PASSED.keys())
+    # the roots hold no reference to the table, and forget it when it dies
+    root = table.base
+    key, ref = id(root), weakref.ref(root)
+    del table, root
+    assert ref() is None and key not in P._CACHE_ROOTS
 
 
 def test_cache_loaded_witnesses_match_the_search(tmp_path):
