@@ -665,16 +665,17 @@ def check_fi_residues(fi: np.ndarray) -> None:
 
     ``_load_cache`` checks every entry of the tables it builds on ``bytes``,
     which numpy makes neither writable nor the base of a writable view.  A
-    view of one with the table's dtype, both aligned, starts and steps on the
-    8-byte entries, so it needs no scan; one at a 4-byte offset, or of another
-    dtype, reads bytes the load never checked as entries.  Every other table,
+    view of one, both aligned and both of the load's dtype, starts and steps
+    on the 8-byte entries, so it needs no scan; one at a 4-byte offset, or of
+    another dtype, reads bytes the load never checked as entries.  The table's
+    own dtype is no proof: it can be reassigned in place.  Every other table,
     also an unpickled one (writable, on ``bytes``), is scanned in full,
     O(len(fi)), on every call.
     """
     root = fi
     while isinstance(root.base, np.ndarray):
         root = root.base
-    if _CACHE_ROOTS.get(id(root)) is root and fi.dtype == root.dtype:
+    if _CACHE_ROOTS.get(id(root)) is root and fi.dtype == root.dtype == "<i8":
         if fi.flags.aligned and root.flags.aligned:
             return
     bad = _bad_residue(fi)

@@ -123,6 +123,12 @@ def test_reinterpreted_cache_table_is_checked_afresh(tmp_path):
     same.dtype = "<i4"  # the same object, reinterpreted in place
     with pytest.raises(ValueError, match="got 0"):
         T.find_representation(87, table=same, table_limit=1000)
+    root = table.base  # the loaded table itself, reinterpreted in place
+    assert P._CACHE_ROOTS.get(id(root)) is root
+    root.dtype = "<i4"
+    for t in (root, root[:]):
+        with pytest.raises(ValueError, match="got 0"):
+            T.find_representation(87, table=t, table_limit=1000)
     # the same dtype at a 4-byte offset: each entry joins the halves of two
     shifted = np.ndarray((len(table) - 1,), "<i8", buffer=table, offset=4)
     assert not shifted.flags.aligned
