@@ -24,12 +24,13 @@ time, starting each base prime at its first odd multiple in the segment; the
 single even prime 2 is added by hand.
 
 The FI primes, ``fi_weighted_count`` and the W-tricked sequence need the
-primality of n = k^2 + l^2 only, and take it from a sieve of each row l
+primes n = k^2 + l^2 only, and take them from a sieve of each row l
 instead (``_prime_power_rows``): an odd prime q divides k^2 + l^2 only at
 the two roots k = +-s l of -1 mod q, or at q = l | k.  This is the line
 sieve of the quadratic sieve (Pomerance, 1985) on the Gaussian primes
 k + l i (Fouvry and Iwaniec, "Gaussian primes", Acta Arith. 79, 1997); it
 needs ``simple_sieve`` only up to sqrt(x) and no array that grows with x.
+The prime powers among the n come from Z[i] (``_prime_power_pairs``).
 Beyond the tables, ``is_prime_int`` (deterministic Miller-Rabin) and
 ``factorize`` (trial division) answer for one n at a time.
 """
@@ -219,16 +220,6 @@ def _prime_power_arrays(x: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[order], np.concatenate([logs[: len(pk)] for pk in powers])[order]
 
 
-def _occurring(keys: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """Mask over the sorted ``keys``: which of them occur in the sorted, non-empty ``ns``.
-
-    It searches the few keys among ns, not ns among them; both ascend, so
-    the matches come out in increasing order.
-    """
-    pos = np.minimum(np.searchsorted(ns, keys), len(ns) - 1)
-    return ns[pos] == keys
-
-
 # ---------------------------------------------------------------------------
 # segmented sieving
 
@@ -328,18 +319,23 @@ def is_fi_prime(p: int) -> bool:
 
     A prime p = 1 (mod 4) is a^2 + b^2 with a > b > 0 in exactly one way,
     so it is an FI prime iff a or b is prime.  A prime p = 3 (mod 4) is no
-    sum of two squares, and 2 = 1 + 1 has no prime part.  Brillhart's
-    step ("Note on representing a prime as a sum of two squares", Math. Comp.
-    26, 1972) finds them: run Euclid's algorithm on p and a root s of
-    s^2 = -1 (mod p); the first two remainders below sqrt(p) are a and b.
+    sum of two squares, and 2 = 1 + 1 has no prime part.
     """
     if p % 4 != 1 or not is_prime_int(p):
         return False
+    a, b = _two_squares(p)
+    return is_prime_int(a) or is_prime_int(b)
+
+
+def _two_squares(p: int) -> tuple[int, int]:
+    """(a, b), a >= b >= 1, with a^2 + b^2 = p, for p = 2 or a prime p = 1 (4):
+    a is the first remainder below sqrt(p) of Euclid's algorithm on p and a
+    root of s^2 = -1 (mod p) (s = 1 for p = 2); Brillhart, Math. Comp. 26, 1972."""
     root = math.isqrt(p)
     a, b = p, _sqrt_minus_one(p)
     while b > root:
         a, b = b, a % b
-    return is_prime_int(b) or is_prime_int(a % b)
+    return b, math.isqrt(p - b * b)
 
 
 def lambda_lambda(n: int) -> float:
@@ -362,10 +358,6 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
     increasing, so ``table[ns] += w`` adds w exactly once to each entry.
 
     ``inner_weight_table`` and the sieve majorant reduce over these blocks.
-    ``fi_weighted_count``, the FI primes and ``wtrick_build`` need only
-    primes and prime powers, so they read ``_prime_power_rows`` instead,
-    which drops the odd k of each odd-l block (n is even and > 2 there) and
-    keeps the l = 2 block whole (8 = 2^2 + 2^2 carries Lambda(8)).
     """
     if ls is None:
         ls = primes_upto(math.isqrt(x - 1)) if x >= 5 else ()
@@ -377,21 +369,19 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
         yield l, ks * ks + l * l
 
 
-def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (l, ns, is_prime) for the blocks of ``fi_pairs(x)`` cut by parity.
-
-    ns holds k^2 + l^2 <= x for the even k >= 2 if l is odd, and for every
-    k >= 1 if l = 2; is_prime[i] says whether ns[i] is prime.  Blocks come in
-    increasing l and none is empty.
+def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (l, primes): the primes k^2 + l^2 <= x of row l, ascending, over
+    the even k >= 2 if l is odd (n is even and > 2 at odd k) and every k >= 1
+    if l = 2.  Rows come in increasing l; a row may hold no prime.
 
     Exactness: an odd prime q divides n = k^2 + l^2 only if q = 1 (4) and
     k = +-s l (mod q) with s^2 = -1 (mod q), or if q = l and q | k (for
     q = 3 (4), -1 is not a square mod q, so q | n forces q | k and q | l).
     So each row is sieved by its two residues per prime q = 1 (4) up to
     sqrt(x), by l itself, and, in the l = 2 row, by 2 at the even k.  That
-    strikes every composite n and also n = q itself; such n are at most
-    sqrt(x) and are read from ``simple_sieve(isqrt(x))`` instead.  No array
-    grows with x: rows are sieved ``ROW_BATCH`` pairs at a time.
+    strikes every composite n and also n = q itself, so the n <= sqrt(x)
+    are re-read from ``simple_sieve(isqrt(x))``.  No array grows with x:
+    rows are sieved ``ROW_BATCH`` pairs at a time.
     """
     ls, lens = _row_lengths(x)
     if not ls:
@@ -406,14 +396,44 @@ def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         start = 0
         for l, n in zip(ls[a:b], lens[a:b]):
             step = 1 if l == 2 else 2
-            ks = np.arange(step, step * n + 1, step, dtype=np.int64)
-            ns = ks * ks + l * l
-            is_prime = flags[start : start + n]
+            row = flags[start : start + n]
             start += n
-            if ns[0] <= root:
-                m = int(np.searchsorted(ns, root, side="right"))
-                is_prime[:m] = small[ns[:m]]
-            yield l, ns, is_prime
+            if l * l < root:
+                ks = np.arange(step, math.isqrt(root - l * l) + 1, step, dtype=np.int64)
+                row[: len(ks)] = small[ks * ks + l * l]
+            ks = step * (np.flatnonzero(row) + 1)  # index j holds k = step (j + 1)
+            yield l, ks * ks + l * l
+
+
+def _prime_power_pairs(x: int, keys: np.ndarray) -> dict[int, np.ndarray]:
+    """{l: the positions of the p^j = k^2 + l^2 of row l of ``_prime_power_rows(x)``
+    in ``keys`` (from ``_prime_power_arrays(x)``), ascending}, in increasing l.
+
+    Z[i] factors uniquely.  A p = 3 (4) stays prime there, so p^j = u^2 + v^2
+    only with u v = 0.  For p = 2 or 1 (4), p = a^2 + b^2 = pi conj(pi) with
+    pi = a + b i, and a z of norm p^j is a unit times pi^i conj(pi)^(j - i),
+    that is p^i conj(pi)^(j - 2i) with i <= j / 2, or its conjugate; units
+    and conjugates only swap and negate the parts.  So the u, v >= 0 are
+    p^i (|Re pi^m|, |Im pi^m|), m = j - 2i, in both orders.  Those with
+    k >= 1 and l prime lie in the rows: k is even for odd l and odd p^j, and
+    for p = 2 odd k and l give 2 (mod 8); l = 2 gives 8."""
+    small = simple_sieve(math.isqrt(x))
+    at = {n: i for i, n in enumerate(keys.tolist())}
+    hits = set()  # (l, position in keys)
+    ps = primes_upto(math.isqrt(x))
+    for p in ps[ps % 4 != 3].tolist():
+        a, b = _two_squares(p)
+        w = [(1, 0), (a, b)]  # the parts of pi^m, m = 0, 1, ...
+        j, pj = 2, p * p
+        while pj <= x:
+            re, im = w[-1]
+            w.append((re * a - im * b, re * b + im * a))
+            for i in range(j // 2 + 1):
+                u, v = (p**i * abs(t) for t in w[j - 2 * i])
+                hits.update((l, at[pj]) for k, l in ((u, v), (v, u)) if k and small[l])
+            j, pj = j + 1, pj * p
+    rows = itertools.groupby(sorted(hits), key=lambda hit: hit[0])
+    return {l: np.array([i for _, i in hit], dtype=np.int64) for l, hit in rows}
 
 
 def _row_lengths(x: int) -> tuple[list[int], list[int]]:
@@ -435,16 +455,16 @@ def _row_lengths(x: int) -> tuple[list[int], list[int]]:
 
 
 def _row_sieve_bytes(x: int) -> tuple[int, int]:
-    """(pairs, bytes): the pairs ``_prime_power_rows(x)`` yields, and a bound
+    """(pairs, bytes): the pairs ``_prime_power_rows(x)`` sieves, and a bound
     on the bytes it holds at once, computed without allocating.
 
     A batch has at most max(ROW_BATCH, sqrt x) pairs.  Per pair: the flags
-    of two batches (a consumer still holds the last row of the one before)
+    of two batches (the last batch's are held while the next is sieved)
     and the int64 strikes of q = 5 at 2/5 of the pairs, 5.2 bytes, taken as
     6.  Per row: 2 more strikes and about 16 int64.  Per integer up to
-    sqrt x: one row's ns, k and a consumer's temporaries, and the base
+    sqrt x: one row's k and primes, a consumer's temporaries, and the base
     sieve, below 64 bytes.  With tracemalloc at 1e5 to 2e9, the peak of
-    ``fi_weighted_count`` was 0.66 to 0.81 of this bound.
+    ``fi_weighted_count`` was 0.64 to 0.81 of this bound.
     """
     ls, lens = _row_lengths(x)
     pairs = sum(lens)
@@ -456,7 +476,7 @@ def _row_sieve_bytes(x: int) -> tuple[int, int]:
 def _sqrt_minus_one(q: int) -> int:
     """An s with s^2 = -1 (mod q), for a prime q = 1 (4): c^((q-1)/4) for a non-residue c."""
     c = 2
-    while pow(c, (q - 1) // 2, q) != q - 1:
+    while q % 8 != 5 and pow(c, (q - 1) // 2, q) != q - 1:  # 2 is one for q = 5 (8)
         c += 1
     return pow(c, (q - 1) // 4, q)
 
@@ -554,10 +574,11 @@ def fi_weighted_count(x: int) -> FiCountResult:
         raise ValueError("x must be >= 2")
     check_bytes(_row_sieve_bytes(x)[1], f"weighted count to {x}")
     pp_keys, pp_vals = _prime_power_arrays(x)
+    pp_rows = _prime_power_pairs(x, pp_keys)
     total = 0.0
-    for l, ns, is_prime in _prime_power_rows(x):
-        prime_part = np.log(ns[is_prime].astype(np.float64)).sum()
-        pp_part = pp_vals[_occurring(pp_keys, ns)].sum()
+    for l, primes in _prime_power_rows(x):
+        prime_part = np.log(primes.astype(np.float64)).sum()
+        pp_part = pp_vals[pp_rows[l]].sum() if l in pp_rows else 0.0
         total += math.log(l) * (prime_part + pp_part)
     h = reference_H()
     return FiCountResult(value=total, h=h, hx=h * x, ratio=total / (h * x))
@@ -624,7 +645,7 @@ def _compute_fi_primes(limit: int) -> np.ndarray:
     # at most one hit per pair: the rows' hits and their concatenation (8 + 8
     # bytes each), then the neighbour mask and the result (1 + 8)
     check_bytes(nbytes + 17 * pairs, f"FI-prime table to {limit}")
-    parts = [ns[is_prime] for _, ns, is_prime in _prime_power_rows(limit)]
+    parts = [primes for _, primes in _prime_power_rows(limit)]
     hits = np.concatenate(parts)
     del parts
     hits.sort()

@@ -31,8 +31,8 @@ import numpy as np
 from .local import reference_H, xi
 from .primes import (
     CONVENTION_MULTIPLIER,
-    _occurring,
     _prime_power_arrays,
+    _prime_power_pairs,
     _prime_power_rows,
     _row_sieve_bytes,
     check_bytes,
@@ -286,10 +286,11 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
 
     LL(m) is non-zero only at prime powers m, and m = W n + b is odd, so the
     rows of ``_prime_power_rows`` hold every pair that counts.  Each row adds
-    log l at the class's primes, and at the prime powers p^j (j >= 2) it
-    holds, in increasing l: the order of the inner-weight table
-    ``sum log l``.  The sums are then multiplied by Lambda(m) and the scale
-    at those slots only.  No array longer than N + 1 is built.
+    log l at the class's primes, and each row of ``_prime_power_pairs`` at
+    its prime powers p^j (j >= 2), in increasing l: the order of the
+    inner-weight table ``sum log l``.  Lambda(m) and the scale then multiply
+    the slots hit, each listed once, by its first row; no other array has
+    N + 1 entries.
     """
     w, W = w_from_threshold(x, w_override)
     if not (1 <= b <= W):
@@ -308,15 +309,18 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
     scale = euler_phi(W) / (float(xi_wb) * W * CONVENTION_MULTIPLIER * reference_H())
     pp_keys, pp_vals = _prime_power_arrays(top)
     pp_sums = np.zeros(len(pp_keys), dtype=np.float64)
+    for l, at in _prime_power_pairs(top, pp_keys).items():
+        pp_sums[at] += math.log(l)
     values = np.zeros(N + 1, dtype=np.float64)
-    for l, ns, is_prime in _prime_power_rows(top):
-        m = ns[is_prime]
-        m = m[m % W == b]
-        values[(m - b) // W] += math.log(l)
-        pp_sums[_occurring(pp_keys, ns)] += math.log(l)
-    values[0] = 0.0  # m = b is n = 0, outside the sequence
-    slots = np.flatnonzero(values)  # the primes with a pair
+    firsts = [np.zeros(0, dtype=np.int64)]  # each slot once, in the first row to hit it
+    for l, primes in _prime_power_rows(top):
+        slots = (primes[primes % W == b] - b) // W
+        firsts.append(slots[values[slots] == 0.0])
+        values[slots] += math.log(l)
+    slots = np.concatenate(firsts)
+    del firsts
     values[slots] = scale * (values[slots] * np.log((W * slots + b).astype(np.float64)))
+    values[0] = 0.0  # m = b is n = 0, outside the sequence
     pp_in = (pp_keys % W == b) & (pp_keys > b)
     values[(pp_keys[pp_in] - b) // W] = scale * (pp_sums[pp_in] * pp_vals[pp_in])
     return WTrickedSequence(x=x, w=w, W=W, b=b, N=N, values=values)

@@ -220,14 +220,14 @@ def test_fi_primes_at_1e8_match_sieve_oracle():
 
 
 def check_rows(x):
-    """``_prime_power_rows(x)`` against ``sieve_blocks`` and ``simple_sieve`` membership."""
+    """``_prime_power_rows(x)`` against the primes of ``sieve_blocks`` by ``simple_sieve``."""
     is_p = P.simple_sieve(x)
     rows = list(P._prime_power_rows(x))
     blocks = list(sieve_blocks(x))
-    assert [l for l, _, _ in rows] == [l for l, _ in blocks], x
-    for (l, ns, is_prime), (_, expected) in zip(rows, blocks):
-        assert np.array_equal(ns, expected), (x, l)
-        assert np.array_equal(is_prime, is_p[ns]), (x, l)
+    assert [l for l, _ in rows] == [l for l, _ in blocks], x
+    for (l, primes), (_, expected) in zip(rows, blocks):
+        assert primes.dtype == np.int64, (x, l)
+        assert np.array_equal(primes, expected[is_p[expected]]), (x, l)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,6 +246,40 @@ def test_row_sieve_in_small_batches(monkeypatch):
         monkeypatch.setattr(P, "ROW_BATCH", batch)
         for x in (5, 25, 26, 50, 1000, 3001, 10**5):
             check_rows(x)
+
+
+def check_prime_power_pairs(x):
+    """``_prime_power_pairs(x)`` against the l of ``fi_decompositions`` of each
+    prime power, with the parity the rows keep (every k for l = 2, even k else)."""
+    keys, _ = P._prime_power_arrays(x)
+    expected = {}
+    for i, n in enumerate(keys.tolist()):
+        for d in P.fi_decompositions(n):
+            if d.l == 2 or d.k % 2 == 0:
+                expected.setdefault(d.l, []).append(i)
+    found = P._prime_power_pairs(x, keys)
+    assert {l: at.tolist() for l, at in found.items()} == expected, x
+
+
+def test_prime_power_pairs_match_decompositions_to_1e6():
+    # every p^j <= 10^6 with j >= 2
+    check_prime_power_pairs(10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=2 * 10**5))
+def test_prime_power_pairs_match_decompositions(x):
+    check_prime_power_pairs(x)
+
+
+# 8 = 2^2 + 2^2 is the one even key with a pair; 9 = 3^2 + 0^2 has no k >= 1;
+# 125 = 11^2 + 2^2 = 10^2 + 5^2 = 2^2 + 11^2
+@pytest.mark.parametrize("n, rows", [(8, {2}), (9, set()), (25, {3}), (125, {2, 5, 11})])
+def test_prime_power_pairs_examples(n, rows):
+    keys, _ = P._prime_power_arrays(n)
+    assert keys[-1] == n
+    found = P._prime_power_pairs(n, keys)
+    assert {l for l, at in found.items() if len(keys) - 1 in at} == rows
 
 
 def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):

@@ -59,11 +59,14 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _names_used(tree: ast.AST) -> Counter:
-    """How often a syntax tree names each name: loads, attributes and imports."""
+def _names_used(tree: ast.AST, methods: bool) -> Counter:
+    """How often a syntax tree names each name: plain names, attributes and
+    imports.  A plain name is a local, a global or a builtin, so with
+    ``methods`` only attributes (``.name``) and imports count, which alone
+    reach a method."""
     used = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not methods:
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
@@ -73,15 +76,15 @@ def _names_used(tree: ast.AST) -> Counter:
 
 
 def _public_defs(tree: ast.Module):
-    """(label, def) for the top-level functions and the methods and
-    properties of the top-level classes, a method labelled ``Class.name``."""
+    """(label, def, is_method) for the top-level functions and the methods
+    and properties of the top-level classes, a method labelled ``Class.name``."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node
+            yield node.name, node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item, True
 
 
 def unreferenced_functions(src: Path, others: list[Path]) -> set[str]:
@@ -91,14 +94,14 @@ def unreferenced_functions(src: Path, others: list[Path]) -> set[str]:
     exempt: only tests call them.  Dunders start with ``_`` and stay out,
     since operators call them without naming them."""
     trees = {f: ast.parse(f.read_text()) for f in [*sorted(src.glob("*.py")), *others]}
-    used = sum(map(_names_used, trees.values()), Counter())
+    used = {m: sum((_names_used(t, m) for t in trees.values()), Counter()) for m in (False, True)}
     return {
         label
         for f, tree in trees.items() if f.parent == src
-        for label, node in _public_defs(tree)
+        for label, node, is_method in _public_defs(tree)
         if not node.name.startswith("_")
         and not node.name.endswith(("_bruteforce", "_direct"))
-        and used[node.name] == _names_used(node)[node.name]
+        and used[is_method][node.name] == _names_used(node, is_method)[node.name]
     }
 
 
@@ -114,6 +117,20 @@ def test_unreferenced_detector_reports_an_unnamed_method(tmp_path):
         "total = f(A() + A())\n"
     )
     assert unreferenced_functions(tmp_path, []) == {"A.unnamed"}
+
+
+def test_unreferenced_detector_reports_a_method_named_like_a_local(tmp_path):
+    # a local variable or parameter of the same name reaches no method
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def named(self): return 1\n"
+        "    def scale(self): return 2\n"
+        "def f(a, scale=1):\n"
+        "    scale = scale * 2\n"
+        "    return scale * a.named()\n"
+        "total = f(A())\n"
+    )
+    assert unreferenced_functions(tmp_path, []) == {"A.scale"}
 
 
 def test_every_public_function_is_reached():

@@ -294,6 +294,32 @@ def test_ternary_byte_estimates_bound_the_peaks(monkeypatch):
         assert peak <= checked[-1], (scan.__name__, peak, checked[-1])
 
 
+def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
+    # each consumer of the row sieve peaks under tracemalloc at most at the
+    # bytes it checks (0.19 to 0.79 of them at 10^5 to 10^7)
+    from fiprimes.local import reference_H
+
+    checked, real = [], P.check_bytes
+
+    def check_bytes(nbytes, what):
+        checked.append(nbytes)
+        real(nbytes, what)
+
+    monkeypatch.setattr(P, "check_bytes", check_bytes)
+    monkeypatch.setattr(T, "check_bytes", check_bytes)
+    reference_H()  # a one-time table of about 4 MB, cached for the process
+    builds = (P.fi_weighted_count, P._compute_fi_primes, lambda x: T.wtrick_build(x, 1))
+    for x in (10**5, 10**6, 10**7):
+        for build in builds:
+            tracemalloc.start()
+            try:
+                build(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= checked[-1], (x, peak, checked[-1])
+
+
 def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
     # 6 bytes per index m in [0, M], M = (X - 3) // 4, for scan_exceptions and
     # 40 for smallest_witnesses: X = 1023 has M + 1 = 256 indices, X = 1027 one
