@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .primes import euler_phi, factorize, primes_upto
+from .primes import euler_phi, factorize
 
 
 def chi(n: int) -> int:
@@ -61,27 +61,16 @@ def psi_prime(q: int) -> Fraction:
     return out
 
 
-def euler_H(p_limit: int) -> tuple[float, float]:
-    """Partial product of H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))).
-
-    Returns (value, tail_bound).  The log of each omitted factor is at most
-    2/p^2 in absolute value, so the tail is below 2/p_limit.
-    """
-    if p_limit < 3:
-        raise ValueError("p_limit must be >= 3")
-    ps = primes_upto(p_limit).astype(np.float64)
-    ps = ps[ps >= 3]
-    cs = np.where(ps % 4 == 1, 1.0, -1.0)
-    factors = 1.0 - cs / ((ps - 1.0) * (ps - cs))
-    value = 2.0 * float(np.prod(factors))
-    tail = value * math.expm1(2.0 / p_limit)
-    return value, tail
-
-
-@lru_cache(maxsize=1)
 def reference_H() -> float:
-    """H truncated at the primes <= 10^6 (relative tail about 2e-6, see ``euler_H``)."""
-    return euler_H(10**6)[0]
+    """H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))), p odd prime, truncated at
+    the p <= 10^6.
+
+    The log of each omitted factor is at most 2/p^2 in absolute value, so
+    the relative tail is below 2e-6.  The product is a fixed number; the
+    oracle ``euler_H`` in tests/conftest.py recomputes it, and a test pins
+    this literal to it bit for bit.
+    """
+    return 2.1564103448531142
 
 
 def xi(q: int, a: int) -> Fraction:

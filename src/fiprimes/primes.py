@@ -30,6 +30,9 @@ the two roots k = +-s l of -1 mod q, or at q = l | k.  This is the line
 sieve of the quadratic sieve (Pomerance, 1985) on the Gaussian primes
 k + l i (Fouvry and Iwaniec, "Gaussian primes", Acta Arith. 79, 1997); it
 needs ``simple_sieve`` only up to sqrt(x) and no array that grows with x.
+Rows are sieved together as one (rows, width) block of flags: a q below a
+sixteenth of the width strikes through a strided view of the block, and the
+larger q, most of them, through a few lists of int64 columns (``_sieve_rows``).
 The prime powers among the n come from Z[i] (``_prime_power_pairs``).
 Beyond the tables, ``is_prime_int`` (deterministic Miller-Rabin) and
 ``factorize`` (trial division) answer for one n at a time.
@@ -37,6 +40,7 @@ Beyond the tables, ``is_prime_int`` (deterministic Miller-Rabin) and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -76,13 +80,14 @@ def check_bytes(nbytes: int, what: str) -> None:
 # 2^20 is the largest size whose segment still sits well inside L2.
 SEGMENT_BYTES = 1 << 20
 
-# Pairs per batch of rows in the row sieve (``_prime_power_rows``), one flag
-# byte each.  In-process medians of fi_weighted_count(10**8) (five runs) and
-# (4 * 10**8) (three) on the VM above: 0.38 / 1.18 s at 2^19, 0.38 / 1.28 s
-# at 2^20, 0.39 / 1.17 s at 2^21, 0.40 / 1.27 s at 2^22, 0.42 / 1.47 s at
-# 2^23; the FI-prime table follows the same curve.  Past 2^21 the flags
-# leave L2 and the strikes slow down; below, nothing is gained, and each
-# batch holds less memory.
+# Cells per block of the row sieve (``_prime_power_rows``), one flag byte
+# each: a batch of rows is sieved as one (rows, width) block, of the width of
+# its first, longest row.  In-process medians of five runs of
+# fi_weighted_count(10**8) / (4 * 10**8) on the VM above: 127 / 504 ms at
+# 2^17, 93 / 318 at 2^18, 80 / 264 at 2^19, 86 / 251 at 2^20, 93 / 284 at
+# 2^21, 94 / 297 at 2^22, 106 / 311 at 2^23.  Smaller blocks pay the loop
+# over the q once per batch too often; past 2^20 the block and a group's
+# columns leave L2.
 ROW_BATCH = 1 << 20
 
 # Calibrated pair-convention multiplier: sum_{n<=x} LL(n) ~ R * H * x under
@@ -371,17 +376,18 @@ def fi_pairs(x: int, ls: Optional[Iterable[int]] = None) -> Iterator[tuple[int, 
 
 def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (l, primes): the primes k^2 + l^2 <= x of row l, ascending, over
-    the even k >= 2 if l is odd (n is even and > 2 at odd k) and every k >= 1
-    if l = 2.  Rows come in increasing l; a row may hold no prime.
+    the even k >= 2 if l is odd and the odd k >= 1 if l = 2 (at the other k,
+    n is even and > 2).  Rows come in increasing l; a row may hold no prime.
 
     Exactness: an odd prime q divides n = k^2 + l^2 only if q = 1 (4) and
     k = +-s l (mod q) with s^2 = -1 (mod q), or if q = l and q | k (for
     q = 3 (4), -1 is not a square mod q, so q | n forces q | k and q | l).
     So each row is sieved by its two residues per prime q = 1 (4) up to
-    sqrt(x), by l itself, and, in the l = 2 row, by 2 at the even k.  That
-    strikes every composite n and also n = q itself, so the n <= sqrt(x)
-    are re-read from ``simple_sieve(isqrt(x))``.  No array grows with x:
-    rows are sieved ``ROW_BATCH`` pairs at a time.
+    sqrt(x) and by l itself (``_sieve_rows``).  That strikes every composite
+    n and also n = q itself, so the n <= sqrt(x) are re-read from
+    ``simple_sieve(isqrt(x))``.  No array grows with x: the rows are sieved
+    in blocks of at most ``ROW_BATCH`` cells, and each row is read up to its
+    length, never the padding after it.
     """
     ls, lens = _row_lengths(x)
     if not ls:
@@ -389,19 +395,17 @@ def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray]]:
     root = math.isqrt(x)
     small = simple_sieve(root)
     qs = [q for q in _odd_primes_upto(root) if q % 4 == 1]
-    # s / 2 (mod q): row l strikes k = 2 (j + 1) = +-s l, i.e. j = +-l s / 2 - 1
+    # s / 2 (mod q): k = 2 j + c = +-s l is j = +-l s / 2 - c / 2
     halves = [_sqrt_minus_one(q) * (q + 1) // 2 % q for q in qs]
-    for a, b in _runs(lens, ROW_BATCH):
-        flags = _sieve_rows(ls[a:b], lens[a:b], qs, halves)
-        start = 0
-        for l, n in zip(ls[a:b], lens[a:b]):
-            step = 1 if l == 2 else 2
-            row = flags[start : start + n]
-            start += n
+    for a, b in _row_batches(lens):
+        block = _sieve_rows(ls[a:b], lens[a:b], qs, halves)
+        for l, n, row in zip(ls[a:b], lens[a:b], block):
+            c = 1 if l == 2 else 2  # column j holds k = 2 j + c
+            row = row[:n]
             if l * l < root:
-                ks = np.arange(step, math.isqrt(root - l * l) + 1, step, dtype=np.int64)
+                ks = np.arange(c, math.isqrt(root - l * l) + 1, 2, dtype=np.int64)
                 row[: len(ks)] = small[ks * ks + l * l]
-            ks = step * (np.flatnonzero(row) + 1)  # index j holds k = step (j + 1)
+            ks = 2 * np.flatnonzero(row) + c
             yield l, ks * ks + l * l
 
 
@@ -437,14 +441,15 @@ def _prime_power_pairs(x: int, keys: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _row_lengths(x: int) -> tuple[list[int], list[int]]:
-    """The rows of ``_prime_power_rows(x)``: each l and its number of kept k.
+    """The rows of ``_prime_power_rows(x)``: each l and its number of kept k,
+    which does not increase along the rows.
 
     Plain lists, no numpy, so a byte estimate can read them before anything
     is allocated.
     """
     if x < 5:
         return [], []
-    ls, lens = [2], [math.isqrt(x - 4)]
+    ls, lens = [2], [(math.isqrt(x - 4) + 1) // 2]
     for l in _odd_primes_upto(math.isqrt(x - 1)):
         n = math.isqrt(x - l * l) // 2
         if not n:
@@ -458,19 +463,20 @@ def _row_sieve_bytes(x: int) -> tuple[int, int]:
     """(pairs, bytes): the pairs ``_prime_power_rows(x)`` sieves, and a bound
     on the bytes it holds at once, computed without allocating.
 
-    A batch has at most max(ROW_BATCH, sqrt x) pairs.  Per pair: the flags
-    of two batches (the last batch's are held while the next is sieved)
-    and the int64 strikes of q = 5 at 2/5 of the pairs, 5.2 bytes, taken as
-    6.  Per row: 2 more strikes and about 16 int64.  Per integer up to
-    sqrt x: one row's k and primes, a consumer's temporaries, and the base
-    sieve, below 64 bytes.  With tracemalloc at 1e5 to 2e9, the peak of
-    ``fi_weighted_count`` was 0.64 to 0.81 of this bound.
+    Per cell of the largest block of ``_sieve_rows``, the spare column
+    included: its flag, the previous block's (held while the next is
+    sieved), and the int64 columns and residues of one group of q, at most
+    1.5 bytes (the columns of a group are at most a sixteenth of the cells);
+    4 bytes in all.  Per row, 480 bytes: a group of a single q that is
+    larger (up to 32 columns a row), the residue arrays of one q, the index
+    arrays and the row lists.  Per integer up to sqrt x: one row's k and
+    primes, a consumer's temporaries, and the base sieve, below 64 bytes.
+    With tracemalloc at 1e5 to 2e9, the peak of ``fi_weighted_count`` was
+    0.54 to 0.82 of this bound.
     """
     ls, lens = _row_lengths(x)
-    pairs = sum(lens)
-    root = math.isqrt(x)
-    batch = min(pairs, max(ROW_BATCH, root))
-    return pairs, 6 * batch + 160 * len(ls) + 64 * (root + 1)
+    cells = max(((b - a) * (lens[a] + 1) for a, b in _row_batches(lens)), default=0)
+    return sum(lens), 4 * cells + 480 * len(ls) + 64 * (math.isqrt(x) + 1)
 
 
 def _sqrt_minus_one(q: int) -> int:
@@ -481,63 +487,73 @@ def _sqrt_minus_one(q: int) -> int:
     return pow(c, (q - 1) // 4, q)
 
 
-def _strike(flags: np.ndarray, first: np.ndarray, counts: np.ndarray, step: np.ndarray) -> None:
-    """Set flags[first + step i] = False for 0 <= i < counts, entry by entry.
-
-    The indices are the running sum of the steps between neighbours.  A
-    function of its own, so that a group's index array is freed before the
-    next group builds its own.
-    """
-    hit = counts > 0
-    first, c, step = first[hit], counts[hit], step[hit]
-    idx = np.repeat(step, c)
-    idx[np.cumsum(c) - c] = first - np.concatenate(([0], (first + step * (c - 1))[:-1]))
-    flags[np.cumsum(idx, out=idx)] = False
-
-
-def _runs(costs: list[int], cap: int) -> Iterator[tuple[int, int]]:
-    """Cut range(len(costs)) into runs [a, b) of total cost <= cap, or of one item."""
+def _row_batches(lens: list[int]) -> Iterator[tuple[int, int]]:
+    """Cut the rows into batches [a, b) whose block, b - a rows of the width
+    lens[a] (the lengths do not increase), has at most ROW_BATCH cells, or
+    into single rows."""
     a = 0
-    while a < len(costs):
-        b, total = a + 1, costs[a]
-        while b < len(costs) and total + costs[b] <= cap:
-            total += costs[b]
-            b += 1
+    while a < len(lens):
+        b = min(len(lens), a + max(1, ROW_BATCH // lens[a]))
         yield a, b
         a = b
 
 
 def _sieve_rows(ls: list[int], lens: list[int], qs: list[int], halves: list[int]) -> np.ndarray:
-    """The rows' flags, concatenated: False where n is even, l | k, or a
-    prime q in ``qs`` divides n (n = q included).
+    """The rows' flags as a (rows, W) block, W = lens[0]: False where l | k
+    or a prime q in ``qs`` divides n (n = q included).
 
-    Row i holds k = 2 (j + 1) at index j, or k = j + 1 for l = 2.  Each q
-    strikes two residues j of every row, at j, j + q, ... below its length.
-    The q are taken in groups, so that one ragged index array strikes a
-    whole group: a group's strikes number at most 2 len(flags) / q + 2 per
-    row for each of its q, and these bounds add up to at most a sixteenth
-    of the batch, unless the group is a single q.
+    Row l holds k = 2 j + c at column j < its length, c = 2 for odd l and
+    c = 1 for l = 2; the cells past the length are padding, which no reader
+    reads, so strikes may land there.  Each q strikes, in each row, the
+    columns j + i q from the two residues j < q of k = +-s l (``residues``;
+    -c / 2 is q - 1, or (q - 1) / 2 for l = 2).  With m = W // q, the
+    columns j + i q, i < m, are all below m q <= W, and i = m is the one
+    column that may not be; the block has a spare column W, not returned,
+    which takes each column past W, so no strike needs a mask:
+
+    - q <= W / 16: one assignment to the view of the first m q columns as
+      (rows, m, q) strikes column j of each of a row's m runs of q, and the
+      column m q + j, or W, is struck on its own;
+    - q > W / 16, so m < 16 (m = 0 once q > W): the m + 1 columns of each
+      residue are listed as int64, for a run of q with the same m whose
+      lists hold at most a sixteenth of the block's cells, or for one q.
+
+    The view pays a numpy call per q; the lists pay 8 bytes a strike, and
+    serve every q above W / 16 in a few calls.  At 1e8 and 4e8, cuts at
+    W / 8 and W / 32 were slower.
     """
-    lens_a = np.array(lens, dtype=np.int64)
-    off = np.cumsum(lens_a) - lens_a
-    size = int(lens_a.sum())
-    flags = np.ones(size, dtype=bool)
-    for l, o, n in zip(ls, off.tolist(), lens):
-        if l == 2:
-            flags[o + 1 : o + n : 2] = False  # even k, even n
-        else:
-            flags[o + l - 1 : o + n : l] = False  # l | k, l^2 | n
-    # in the l = 2 row, k = j + 1 = +-2 s is j = +-4 s / 2 - 1: the l = 4 case
-    lv = np.array([4 if l == 2 else l for l in ls], dtype=np.int64)
-    off2 = np.concatenate((off, off))
-    lens2 = np.concatenate((lens_a, lens_a))
-    bounds = [2 * size // q + 2 * len(ls) for q in qs]
-    for a, b in _runs(bounds, size // 16):
-        q = np.array(qs[a:b], dtype=np.int64)[:, None]
-        t = lv * np.array(halves[a:b], dtype=np.int64)[:, None] % q
-        j = np.hstack(((t - 1) % q, q - 1 - t))
-        _strike(flags, off2 + j, (lens2 - j + q - 1) // q, np.broadcast_to(q, j.shape))
-    return flags
+    R, W = len(ls), lens[0]
+    block = np.ones((R, W + 1), dtype=bool)  # column W takes the strikes past the width
+    for row, l in zip(block, ls):
+        if l != 2:
+            row[l - 1 :: l] = False  # l | k, l^2 | n
+    flat = block.reshape(-1)
+    rows = np.arange(R)
+    off = rows * (W + 1)
+    lv = np.array(ls, dtype=np.int64)
+
+    def residues(q, h):
+        """The two columns j < q that q strikes in each row."""
+        u, e = lv * h % q, np.where(lv == 2, (q - 1) // 2, q - 1)  # e = -c / 2
+        return np.stack(((e + u) % q, (e - u) % q))
+
+    i = bisect.bisect_right(qs, W // 16)
+    for q, h in zip(qs[:i], halves[:i]):
+        j, end = residues(q, h), W - W % q
+        block[:, :end].reshape(R, -1, q)[rows, :, j] = False
+        flat[off + np.minimum(end + j, W)] = False
+    while i < len(qs):
+        m = W // qs[i]
+        last = bisect.bisect_right(qs, W // m) if m else len(qs)  # the q with this m
+        b = min(last, i + max(1, W // (32 * (m + 1))))  # 2 (m + 1) R columns a q
+        q = np.array(qs[i:b], dtype=np.int64)[:, None]
+        cols = residues(q, np.array(halves[i:b], dtype=np.int64)[:, None])
+        cols = cols + q * np.arange(m + 1)[:, None, None, None]
+        np.minimum(cols, W, out=cols)
+        cols += off
+        flat[cols] = False
+        i = b
+    return block[:, :W]
 
 
 def inner_weight_table(x: int, omega: Callable[[int], float]) -> np.ndarray:
@@ -639,13 +655,19 @@ def _compute_fi_primes(limit: int) -> np.ndarray:
     """The primes of the rows of ``_prime_power_rows(limit)``, sorted, each once.
 
     A prime with several representations is hit once per row; after the
-    sort, a neighbour compare keeps the first of each run.
+    sort, a neighbour compare keeps the first of each run.  The hits are
+    counted against the budget as each row's are added, so an oversized
+    table raises CapacityError before the concatenation.
     """
-    pairs, nbytes = _row_sieve_bytes(limit)
-    # at most one hit per pair: the rows' hits and their concatenation (8 + 8
-    # bytes each), then the neighbour mask and the result (1 + 8)
-    check_bytes(nbytes + 17 * pairs, f"FI-prime table to {limit}")
-    parts = [primes for _, primes in _prime_power_rows(limit)]
+    nbytes = _row_sieve_bytes(limit)[1]
+    check_bytes(nbytes, f"FI-prime table to {limit}")
+    parts, count = [], 0
+    for _, primes in _prime_power_rows(limit):
+        count += len(primes)
+        # per hit: 8 bytes in the rows, then 16 with their concatenation,
+        # then 17 with the neighbour mask and the result in place of the rows
+        check_bytes(nbytes + 17 * count, f"FI-prime table to {limit}")
+        parts.append(primes)
     hits = np.concatenate(parts)
     del parts
     hits.sort()

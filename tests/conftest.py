@@ -28,6 +28,24 @@ def lambda_lambda_table(x: int) -> np.ndarray:
     return table
 
 
+def euler_H(p_limit: int) -> tuple[float, float]:
+    """Partial product of H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))), p odd prime.
+
+    Returns (value, tail_bound).  The log of each omitted factor is at most
+    2/p^2 in absolute value, so the tail is below 2/p_limit.  The oracle of
+    ``fiprimes.local.reference_H``, the product to 10^6.
+    """
+    if p_limit < 3:
+        raise ValueError("p_limit must be >= 3")
+    ps = primes_upto(p_limit).astype(np.float64)
+    ps = ps[ps >= 3]
+    cs = np.where(ps % 4 == 1, 1.0, -1.0)
+    factors = 1.0 - cs / ((ps - 1.0) * (ps - cs))
+    value = 2.0 * float(np.prod(factors))
+    tail = value * math.expm1(2.0 / p_limit)
+    return value, tail
+
+
 def sieve_blocks(x: int):
     """The blocks of ``fi_pairs(x)`` cut by parity: even k for odd l, every k
     for l = 2, no empty block; the blocks of ``_prime_power_rows`` without flags."""
@@ -174,7 +192,8 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def forbid_alloc(monkeypatch):
-    """A function that makes np.ones and np.zeros raise for the rest of the test.
+    """A function that makes np.ones, np.zeros, np.empty and np.concatenate
+    raise for the rest of the test.
 
     Capacity checks that must run before allocating are tested under it, so
     a missing check fails the test instead of allocating gigabytes.
@@ -183,7 +202,7 @@ def forbid_alloc(monkeypatch):
         raise AssertionError("allocated before the capacity check")
 
     def install():
-        monkeypatch.setattr(np, "ones", no_alloc)
-        monkeypatch.setattr(np, "zeros", no_alloc)
+        for name in ("ones", "zeros", "empty", "concatenate"):
+            monkeypatch.setattr(np, name, no_alloc)
 
     return install

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import euler_H
 from fiprimes import local as L
 from fiprimes.primes import euler_phi, factorize, primes_upto
 
@@ -149,20 +150,24 @@ def test_xi_mean_one_at_primes():
 
 
 def test_euler_H_partial_products():
-    v3, _ = L.euler_H(3)
+    v3, _ = euler_H(3)
     assert v3 == pytest.approx(2.25, abs=1e-15)
-    v5, _ = L.euler_H(5)
+    v5, _ = euler_H(5)
     assert v5 == pytest.approx(2.109375, abs=1e-15)
 
 
 def test_euler_H_converged():
-    v, tail = L.euler_H(10**7)
+    v, tail = euler_H(10**7)
     assert tail < 1e-6
     assert v == pytest.approx(2.15641034, abs=5e-7)  # repository reference H
 
 
+def test_reference_H_is_the_product_to_1e6():
+    assert L.reference_H() == euler_H(10**6)[0]
+
+
 def test_euler_H_tail_shrinks():
-    v6, t6 = L.euler_H(10**6)
-    v7, t7 = L.euler_H(10**7)
+    v6, t6 = euler_H(10**6)
+    v7, t7 = euler_H(10**7)
     assert abs(v7 - v6) <= t6
     assert t7 < t6

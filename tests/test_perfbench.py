@@ -21,7 +21,7 @@ def workloads(monkeypatch):
     import workloads
 
     yield workloads
-    # the density workload leaves sieves up to 1e6 (reference_H's) in the lru caches
+    # the density workload leaves its base sieves and prime tables in the lru caches
     P.simple_sieve.cache_clear()
     P.primes_upto.cache_clear()
 

@@ -236,13 +236,15 @@ def check_rows(x):
 @example(25)  # q = 5 <= sqrt(x) strikes n = 5 itself, which is re-read
 @example(26)  # the first odd row: 26 = 1^2 + 5^2 is dropped, k = 2 is not there yet
 @example(50)  # q = l = 5 at k = 5 (n = 50) and the l = 2 row's even k
+@example(629)  # width 13 = q, set by the l = 2 row (13 odd k; 12 k for l = 3)
+@example(25285)  # width 80 = 16 * 5: q = 5 strides with no column left over
 def test_row_sieve_flags_match_simple_sieve(x):
     check_rows(x)
 
 
 def test_row_sieve_in_small_batches(monkeypatch):
-    # batches of one row and of a few rows, cut inside the q = 5 strikes
-    for batch in (1, 7, 100):
+    # blocks of one row, and of a few rows of padded width, cut mid-run
+    for batch in (1, 7, 100, 1000, 5000):
         monkeypatch.setattr(P, "ROW_BATCH", batch)
         for x in (5, 25, 26, 50, 1000, 3001, 10**5):
             check_rows(x)
@@ -283,24 +285,33 @@ def test_prime_power_pairs_examples(n, rows):
 
 
 def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # the row sieve (6 bytes per pair, 160 per row, 64 per integer up to
-    # sqrt x) and 17 bytes per pair for the hits: 9,783 bytes at 1684 (225
-    # pairs, 12 rows); at 1685 = 41^2 + 2^2 the row l = 41 starts, 10,012
+    # the row sieve (4 bytes per cell of its block, 480 per row, 64 per
+    # integer up to sqrt x) and 17 bytes per hit: 9,840 bytes at 1372 (one
+    # block of 11 rows of 18 + 1 cells, 76 hits); at 1373 = 37^2 + 2^2 the
+    # row l = 37 starts, and the hits pass 10,000 bytes before the last row
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
-    P._compute_fi_primes(1684)
+    P._compute_fi_primes(1372)
     with pytest.raises(P.CapacityError):
-        P._compute_fi_primes(1685)
-    monkeypatch.undo()
+        P._compute_fi_primes(1373)
+    # the hits are counted as the rows come: with a budget one byte short,
+    # the last row raises before the hits are concatenated
+    x = 10**5
+    rows = list(P._prime_power_rows(x))
+    need = P._row_sieve_bytes(x)[1] + 17 * sum(len(primes) for _, primes in rows)
+    monkeypatch.setattr(P, "_prime_power_rows", lambda limit: iter(rows))
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", need)
+    assert np.array_equal(P._compute_fi_primes(x), fi_primes_by_sieve(x))
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", need - 1)
     forbid_alloc()
-    with pytest.raises(P.CapacityError):  # the default budget ends near 2.86e9
-        P._compute_fi_primes(3 * 10**9)
+    with pytest.raises(P.CapacityError):
+        P._compute_fi_primes(x)
 
 
 def test_weighted_count_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # the row sieve's bound alone: 6 bytes per pair, 160 per row, 64 per
-    # integer up to sqrt x
+    # the row sieve's bound alone: 4 bytes per cell of its block, 480 per
+    # row, 64 per integer up to sqrt x: 8,548 bytes at 1372
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
-    P.fi_weighted_count(4000)
+    P.fi_weighted_count(1372)
     forbid_alloc()
     with pytest.raises(P.CapacityError):
         P.fi_weighted_count(10**6)

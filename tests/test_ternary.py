@@ -296,9 +296,7 @@ def test_ternary_byte_estimates_bound_the_peaks(monkeypatch):
 
 def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
     # each consumer of the row sieve peaks under tracemalloc at most at the
-    # bytes it checks (0.19 to 0.79 of them at 10^5 to 10^7)
-    from fiprimes.local import reference_H
-
+    # bytes it checks last (0.38 to 0.81 of them at 10^5 to 10^8)
     checked, real = [], P.check_bytes
 
     def check_bytes(nbytes, what):
@@ -307,9 +305,8 @@ def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
 
     monkeypatch.setattr(P, "check_bytes", check_bytes)
     monkeypatch.setattr(T, "check_bytes", check_bytes)
-    reference_H()  # a one-time table of about 4 MB, cached for the process
     builds = (P.fi_weighted_count, P._compute_fi_primes, lambda x: T.wtrick_build(x, 1))
-    for x in (10**5, 10**6, 10**7):
+    for x in (10**5, 10**6, 10**7, 10**8):
         for build in builds:
             tracemalloc.start()
             try:
