@@ -48,7 +48,8 @@ def euler_H(p_limit: int) -> tuple[float, float]:
 
 def sieve_blocks(x: int):
     """The blocks of ``fi_pairs(x)`` cut by parity: even k for odd l, every k
-    for l = 2, no empty block; the blocks of ``_prime_power_rows`` without flags."""
+    for l = 2, no empty block.  The rows of ``_prime_power_rows`` are these
+    blocks without the even k of l = 2, whose n are even and > 2."""
     for l, ns in fi_pairs(x):
         if l != 2:
             ns = ns[1::2]

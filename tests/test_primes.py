@@ -288,7 +288,8 @@ def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypat
     # the row sieve (4 bytes per cell of its block, 480 per row, 64 per
     # integer up to sqrt x) and 17 bytes per hit: 9,840 bytes at 1372 (one
     # block of 11 rows of 18 + 1 cells, 76 hits); at 1373 = 37^2 + 2^2 the
-    # row l = 37 starts, and the hits pass 10,000 bytes before the last row
+    # row l = 37 starts, the row sieve's 9,152 bytes pass, and the hits
+    # pass 10,000 bytes before the last row
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
     P._compute_fi_primes(1372)
     with pytest.raises(P.CapacityError):
