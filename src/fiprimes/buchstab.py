@@ -131,14 +131,19 @@ def rough_mask(limit: int, z: float) -> np.ndarray:
 
     mask[0] is False.  Built by striking the multiples of every prime
     p <= z; primes above the limit strike nothing.  Raises CapacityError,
-    before allocating, when its limit + 1 bytes exceed the table budget.
+    before allocating, past the budget: limit + 1 bytes for the mask, 2 per
+    integer n to min(z, limit) for the cached sieve and its segment, 64 per
+    prime there (two int64 arrays, then the cached one and a list of ints;
+    under 1.26 n / log n primes, Rosser and Schoenfeld 1962), and 4 KB.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    check_bytes(limit + 1, f"rough mask to {limit}")
+    top = int(max(0.0, min(z, limit)))
+    n_primes = math.ceil(1.26 * top / math.log(max(top, 2)))
+    check_bytes(limit + 1 + 2 * (top + 1) + 64 * n_primes + 4096, f"rough mask to {limit}")
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
-    for p in primes_upto(int(max(0.0, min(z, limit)))).tolist():
+    for p in primes_upto(top).tolist():
         mask[p::p] = False
     return mask
 

@@ -365,19 +365,19 @@ def _dispatch(args) -> int:
         return _dispatch_expsum(args)
 
     if cmd == "verify-ternary":
-        from .primes import fi_primes_upto
         from .ternary import scan_exceptions, smallest_witnesses
 
         if args.limit < 3:
             raise ValueError(f"--limit must be >= 3, got {args.limit}")
-        fi = fi_primes_upto(args.limit, cache_dir=args.cache_dir)
         if args.exceptions_only:
-            exceptions = scan_exceptions(args.limit, fi=fi).tolist()
+            exceptions = scan_exceptions(args.limit, args.cache_dir).tolist()
             rows = [(x, 0, 0) for x in exceptions]
         else:
-            p1, p2 = smallest_witnesses(args.limit, fi=fi)
+            p1, p2 = smallest_witnesses(args.limit, args.cache_dir)
             exceptions = (4 * np.flatnonzero(p1 == 0) + 3).tolist()
-            rows = zip(range(3, args.limit + 1, 4), p1.tolist(), p2.tolist())
+            rows = itertools.chain.from_iterable(  # a chunk of Python ints at a time
+                zip(range(4 * lo + 3, args.limit + 1, 4), p1[lo:lo + _INT_CHUNK].tolist(),
+                    p2[lo:lo + _INT_CHUNK].tolist()) for lo in range(0, len(p1), _INT_CHUNK))
         # p1 = 0 marks an exception; p3 = x - p1 - p2
         if args.csv:
             print("x,p1,p2,p3")
@@ -405,13 +405,16 @@ def _dispatch(args) -> int:
         aps = find_3aps(args.limit)
         if args.csv:
             print("p,mid,third")
-            for a, b, c in aps:
-                print(f"{a},{b},{c}")
+            _write_lines(f"{a},{b},{c}\n" for a, b, c in aps)
+        elif args.json:
+            # streamed, formatted as json.dumps formats them
+            head = json.dumps({"schema": SCHEMA, "limit": args.limit, "count": len(aps), "aps": []})
+            sys.stdout.write(head[:-2])
+            _write_lines(f"{', ' if i else ''}[{a}, {b}, {c}]" for i, (a, b, c) in enumerate(aps))
+            print("]}")
         else:
-            _emit({"limit": args.limit, "count": len(aps),
-                   "aps": [[a, b, c] for a, b, c in aps]},
-                  args.json,
-                  [f"({a}, {b}, {c})" for a, b, c in aps] + [f"# count: {len(aps)}"])
+            _write_lines(f"({a}, {b}, {c})\n" for a, b, c in aps)
+            print(f"# count: {len(aps)}")
         return 0
 
     if cmd == "lq":

@@ -29,10 +29,9 @@ from .lattice import (
     annulus_points_bruteforce,
     reduced_basis,
 )
-from .primes import inner_weight_table, primes_upto
+from .primes import check_bytes, inner_weight_table, primes_upto
 
-ARC_EXPONENT_FULL = 1e5   # makes the major arcs cover [0, 1] at any feasible x
-ARC_EXPONENT_DESK = 2.0   # nontrivial partition at desk scale
+ARC_EXPONENT = 2.0   # q <= (log x)^2: a nontrivial partition at desk scale
 
 
 def e_of(t: float) -> complex:
@@ -70,27 +69,19 @@ class Arc:
 
 @dataclass(frozen=True)
 class ArcDecomposition:
-    """Major arcs around rationals a/q with q <= (log x)^exponent."""
+    """Major arcs around a/q, q <= (log x)^ARC_EXPONENT: bound, radius and Farey table built once."""
 
     x: int
-    exponent: float = ARC_EXPONENT_DESK
 
-    @property
+    @cached_property
     def q_bound(self) -> int:
-        # (log x)^exponent, saturating: with the asymptotic exponent the
-        # bound dwarfs any desk x and the q = 1 arc already covers [0, 1]
-        log_val = self.exponent * math.log(math.log(self.x))
-        if log_val > 62 * math.log(2.0):
-            return 1 << 62
-        return max(1, int(math.log(self.x) ** self.exponent))
+        return max(1, int(math.log(self.x) ** ARC_EXPONENT))
 
-    @property
+    @cached_property
     def radius(self) -> float:
-        log_val = self.exponent * math.log(math.log(self.x)) - math.log(self.x)
-        if log_val > 700.0:
-            return math.inf
-        return math.exp(log_val)
+        return math.exp(ARC_EXPONENT * math.log(math.log(self.x)) - math.log(self.x))
 
+    @cached_property
     def _farey(self) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """``_farey_table(q_bound)`` if the arcs are disjoint and it fits its budget, else None.
 
@@ -113,41 +104,28 @@ class ArcDecomposition:
         """Containing major arc; None if minor.
 
         The two Farey neighbours of gamma when the arcs are disjoint, else
-        the scan over every q (``_classify_scan``, the oracle).
+        ``_classify_grid_scan`` on the one point, with a = round(g q) mod q.
         """
         g = gamma % 1.0
-        table = self._farey()
-        if table is None:
-            return self._classify_scan(g)
-        centers, qs, nums = table
+        if math.isnan(g):
+            raise ValueError("cannot classify NaN")
+        if self._farey is None:
+            q = int(self._classify_grid_scan(np.array([g]))[0])
+            return Arc(q=q, a=round(g * q) % q) if q else None
+        centers, qs, nums = self._farey
         i = bisect.bisect_left(centers, g)
         for j in (i - 1, i):
             if 0 <= j < len(centers) and abs(g - float(centers[j])) <= self.radius:
                 q = int(qs[j])
                 return Arc(q=q, a=int(nums[j]) % q)
-        if math.isnan(g):
-            raise ValueError("cannot classify NaN")
-        return None
-
-    def _classify_scan(self, g: float) -> Optional[Arc]:
-        """Scan denominators upward: the first q whose nearest a/q is reduced and within radius."""
-        for q in range(1, self.q_bound + 1):
-            a = round(g * q)
-            if abs(g - a / q) > self.radius:
-                continue
-            if q == 1:
-                return Arc(q=1, a=0)
-            if math.gcd(a % q, q) == 1:
-                return Arc(q=q, a=a % q)
         return None
 
     def classify_grid(self, gammas: np.ndarray) -> np.ndarray:
         """Vectorised classification: the containing q per point, 0 if minor."""
         g = np.asarray(gammas, dtype=np.float64) % 1.0
-        table = self._farey()
-        if table is None:
+        if self._farey is None:
             return self._classify_grid_scan(g)
-        centers, qs, _ = table
+        centers, qs, _ = self._farey
         i = np.searchsorted(centers, g)
         out = np.zeros(len(g), dtype=np.int64)
         for j in (np.maximum(i - 1, 0), np.minimum(i, len(centers) - 1)):
@@ -156,16 +134,16 @@ class ArcDecomposition:
         return out
 
     def _classify_grid_scan(self, g: np.ndarray) -> np.ndarray:
-        """The scan of ``_classify_scan`` per point, stopping once every point has its q."""
+        """Scan denominators upward: per point, the first q whose nearest a/q
+        is reduced and within the radius, stopping once every point has its q."""
         out = np.zeros(len(g), dtype=np.int64)
         for q in range(1, self.q_bound + 1):
             a = np.rint(g * q)
             near = np.abs(g - a / q) <= self.radius
             if q > 1:
-                aa = a.astype(np.int64) % q
-                near &= np.gcd(aa, q) == 1
+                near &= np.gcd(a.astype(np.int64) % q, q) == 1
             out = np.where((out == 0) & near, q, out)
-            if out.all():  # with ARC_EXPONENT_FULL, q = 1 takes every point
+            if out.all():
                 break
         return out
 
@@ -210,16 +188,19 @@ def type1_sum(
 
     phase="n" applies e(gamma n) to the cofactor; phase="dn" applies
     e(gamma d n) to the full product (both shapes occur in practice and
-    neither is canonical, so the choice is explicit).
+    neither is canonical, so the choice is explicit).  Checked before
+    allocating: 73 bytes per integer to x for the weight table and, at
+    d = 1, the multiples, mask, cofactors, products, phases, their complex
+    temporary and the terms (tracemalloc at 1e6: 65 for "n", 73 for "dn"),
+    and 256 KB for numpy's cast buffers.
     """
     if D_I < 0:
         raise ValueError("D_I must be >= 0")
     if W < 1:
         raise ValueError(f"need W >= 1, got {W}")
-    if x > 10**8:
-        raise ValueError("x beyond the desk cap 10^8")
     if phase not in ("n", "dn"):
         raise ValueError("phase must be 'n' or 'dn'")
+    check_bytes(73 * (x + 1) + (1 << 18), f"Type I sum to {x}")
     table = inner_weight_table(x, omega)
     total = 0.0
     for d in range(1, D_I + 1):

@@ -470,13 +470,16 @@ def _row_sieve_bytes(x: int) -> tuple[int, int]:
     4 bytes in all.  Per row, 480 bytes: a group of a single q that is
     larger (up to 32 columns a row), the residue arrays of one q, the index
     arrays and the row lists.  Per integer up to sqrt x: one row's k and
-    primes, a consumer's temporaries, and the base sieve, below 64 bytes.
-    With tracemalloc at 1e5 to 2e9, the peak of ``fi_weighted_count`` was
-    0.54 to 0.82 of this bound.
+    primes, a consumer's temporaries, and the base sieve, below 64 bytes;
+    checked first, as it also bounds ``_row_lengths``.  8 KB for the fixed
+    Python objects of a pass.  With tracemalloc at 1e3 to 2e9, the peak of
+    ``fi_weighted_count`` was 0.53 to 0.82 of this bound.
     """
+    root = 64 * (math.isqrt(x) + 1)
+    check_bytes(root, f"row sieve to {x}")
     ls, lens = _row_lengths(x)
     cells = max(((b - a) * (lens[a] + 1) for a, b in _row_batches(lens)), default=0)
-    return sum(lens), 4 * cells + 480 * len(ls) + 64 * (math.isqrt(x) + 1)
+    return sum(lens), 4 * cells + 480 * len(ls) + root + 8192
 
 
 def _sqrt_minus_one(q: int) -> int:
@@ -573,8 +576,6 @@ def inner_weight_table(x: int, omega: Callable[[int], float]) -> np.ndarray:
 @dataclass(frozen=True)
 class FiCountResult:
     value: float
-    h: float
-    hx: float
     ratio: float
 
 
@@ -596,8 +597,7 @@ def fi_weighted_count(x: int) -> FiCountResult:
         prime_part = np.log(primes.astype(np.float64)).sum()
         pp_part = pp_vals[pp_rows[l]].sum() if l in pp_rows else 0.0
         total += math.log(l) * (prime_part + pp_part)
-    h = reference_H()
-    return FiCountResult(value=total, h=h, hx=h * x, ratio=total / (h * x))
+    return FiCountResult(value=total, ratio=total / (reference_H() * x))
 
 
 def fi_weighted_count_bruteforce(x: int) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -61,27 +62,20 @@ class RepresentationWitness:
         )
 
 
-def find_representation(
-    x: int,
-    table: Optional[np.ndarray] = None,
-    table_limit: Optional[int] = None,
-) -> Optional[RepresentationWitness]:
+def find_representation(x: int, table: np.ndarray, table_limit: int) -> Optional[RepresentationWitness]:
     """Smallest witness (p1, p2, p3) with p1 <= p2 <= p3 summing to x, if any.
 
-    A caller-supplied ``table`` must be sorted, cover [2, x] (pass its limit
-    so coverage can be validated) and hold only 1 (mod 4) entries, also
-    above x; ``check_fi_residues`` raises ValueError otherwise.  Only
-    x = 3 (4) can be a sum of three FI primes, so any other x gives None.
+    ``table`` is sorted, covers [2, table_limit] with table_limit >= x, and holds only
+    1 (mod 4) entries (``check_fi_residues``), else ValueError.  x != 3 (4) gives None.
     """
     if x < 3:
         raise ValueError("x must be >= 3")
-    if table is not None and table_limit is not None and table_limit < x:
+    if table_limit < x:
         raise ValueError(f"table covers only [2, {table_limit}] < x = {x}")
     if x % 4 != 3:
         return None
-    fi = table if table is not None else fi_primes_upto(x)
-    check_fi_residues(fi)
-    return _smallest_witness(x, fi[: np.searchsorted(fi, x, side="right")])
+    check_fi_residues(table)
+    return _smallest_witness(x, table[: np.searchsorted(table, x, side="right")])
 
 
 def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]:
@@ -113,21 +107,20 @@ def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]
     return None
 
 
-def scan_exceptions(X: int, fi: Optional[np.ndarray] = None) -> np.ndarray:
+def scan_exceptions(X: int, cache_dir: Optional[str | Path] = None) -> np.ndarray:
     """All x = 3 (4), x <= X, that are not a sum of three FI primes.
 
     With M = (X - 3) // 4, ``_covered`` on the FI bitmap on [0, M] (k = 2)
     gives the two-sum bitmap, and on that (k = 3) the m with 4m + 3 a sum of
     three.  Only bitmaps are built: 6 bytes per index are checked before
-    allocating (tracemalloc peak per index at X = 10^4 to 10^8, table given:
-    5.86, 4.75, 4.48, 4.34, 4.25).  A caller-supplied ``fi`` must hold only
-    1 (mod 4) entries; anything else raises ValueError.
+    the FI table is loaded (tracemalloc peak per index at X = 10^4 to 10^8,
+    cache hit: 5.91, 4.76, 4.48, 4.34, 4.25).
     """
-    in_fi, parts = _fi_bitmap(X, fi, 6)
+    in_fi, parts = _fi_bitmap(X, cache_dir, 6)
     return 4 * np.flatnonzero(~_covered(parts, _covered(parts, in_fi, 2), 3)) + 3
 
 
-def smallest_witnesses(X: int, fi: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+def smallest_witnesses(X: int, cache_dir: Optional[str | Path] = None) -> tuple[np.ndarray, np.ndarray]:
     """(p1, p2) of ``find_representation(x)`` for every x = 4m + 3 <= X, indexed by m.
 
     Both are 0 where x is an exception; p3 = x - p1 - p2.  ``_first_parts``
@@ -136,10 +129,10 @@ def smallest_witnesses(X: int, fi: Optional[np.ndarray] = None) -> tuple[np.ndar
     x - p1, gathered from the first sweep.  Every split x - p1 = a + b has
     a, b >= p1, since p1 is the smallest element of any representation of
     x, so p1 <= p2 <= p3 holds without being imposed.  40 bytes per index
-    are checked before allocating (tracemalloc peak per index at X = 10^4
-    to 10^7, table given: 35.0, 33.8, 33.5, 33.3).
+    are checked before the FI table is loaded (tracemalloc peak per index at
+    X = 10^4 to 10^7, cache hit: 34.8, 33.8, 33.5, 33.3).
     """
-    in_fi, parts = _fi_bitmap(X, fi, 40)
+    in_fi, parts = _fi_bitmap(X, cache_dir, 40)
     n = len(in_fi)
     m = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
     s2 = _first_parts(m, parts, in_fi, 2)
@@ -151,17 +144,14 @@ def smallest_witnesses(X: int, fi: Optional[np.ndarray] = None) -> tuple[np.ndar
     return tuple(np.maximum(4 * i.astype(np.int64) + 1, 0) for i in (i1, i2))
 
 
-def _fi_bitmap(X: int, fi: Optional[np.ndarray], per_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(in_fi, its set indices): the FI primes p <= 4M + 1, M = (X - 3) // 4,
-    on their index (p - 1) / 4, once ``per_index`` bytes per index are checked."""
+def _fi_bitmap(X: int, cache_dir: Optional[str | Path], per_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(in_fi, its set indices) over the indices (p - 1) / 4 <= M = (X - 3) // 4 of
+    ``fi_primes_upto(X, cache_dir)``, loaded once ``per_index`` bytes an index are checked."""
     if X < 3:
         raise ValueError("X must be >= 3")
     M = (X - 3) // 4
     check_bytes(per_index * (M + 1), f"ternary scan to {X}")
-    if fi is None:
-        fi = fi_primes_upto(X)
-    check_fi_residues(fi)
-    idx = fi >> 2
+    idx = fi_primes_upto(X, cache_dir) >> 2
     in_fi = np.zeros(M + 1, dtype=bool)
     in_fi[idx[idx <= M]] = True
     return in_fi, np.flatnonzero(in_fi)

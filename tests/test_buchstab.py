@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,8 +168,9 @@ def test_rough_indicator():
 
 
 def test_rough_mask_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # one byte per integer 0..limit
-    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 1000)
+    # one byte per integer 0..limit, 2 per integer to z = 5 and 64 for each
+    # of its at most 4 primes, and 4,096 fixed: 5,364 bytes at limit 999
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 5364)
     assert len(B.rough_mask(999, 5)) == 1000
     with pytest.raises(primes.CapacityError):
         B.rough_mask(1000, 5)
@@ -176,6 +178,23 @@ def test_rough_mask_over_the_byte_budget_raises_before_allocating(monkeypatch, f
     forbid_alloc()
     with pytest.raises(primes.CapacityError):
         B.rough_count(10**10, 1000)
+
+
+def test_rough_mask_byte_estimate_bounds_the_peaks(monkeypatch):
+    # the mask, the sieve to min(z, limit) and its primes, measured with the
+    # prime caches cleared: 0.65, 0.65 and 0.99 of the bytes checked
+    checked = []
+    monkeypatch.setattr(B, "check_bytes", lambda nbytes, what: checked.append(nbytes))
+    for limit, z in ((10**6, 10**6), (4 * 10**6, 4 * 10**6), (10**6, 10**3)):
+        primes.simple_sieve.cache_clear()
+        primes.primes_upto.cache_clear()
+        tracemalloc.start()
+        try:
+            B.rough_mask(limit, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checked[-1], (limit, z, peak, checked[-1])
 
 
 def test_rough_count_examples():

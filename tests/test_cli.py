@@ -125,6 +125,25 @@ def test_verify_ternary_over_the_byte_budget_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_verify_ternary_refuses_before_loading_the_table(capsys, monkeypatch, tmp_path):
+    # 6 bytes for each of the 7.5e8 indices are over the budget: refused
+    # before the FI table to 3e9 is built or its cache written
+    from fiprimes import ternary
+
+    def no_table(*args):
+        raise AssertionError("the FI table was loaded before the byte check")
+
+    cache = tmp_path / "cache"
+    argv = ["verify-ternary", "--limit", "3e9", "--exceptions-only", "--cache-dir", str(cache)]
+    with monkeypatch.context() as m:
+        m.setattr(ternary, "fi_primes_upto", no_table)
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ternary scan to 3000000000 needs 4500000000 bytes")
+    assert run_cli(capsys, *argv)[0] == 1
+    assert not cache.exists()
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--limit", "30")
     assert code == 0
@@ -170,7 +189,7 @@ def test_rough_over_the_byte_budget_exit_code(capsys, forbid_alloc):
     forbid_alloc()
     code, _, err = run_cli(capsys, "rough", "--limit", "10000000000", "--z", "1000")
     assert code == 1
-    assert err.startswith("error: rough mask to 10000000000 needs 10000000001 bytes")
+    assert err.startswith("error: rough mask to 10000000000 needs 10000017811 bytes")
 
 
 def test_buchstab_command(capsys):
@@ -300,6 +319,29 @@ def test_integer_flags_refuse_non_integers(value, capsys):
         main(["enumerate", "--limit", value])
     assert exc.value.code == 2
     assert f"argument --limit: expected an integer such as 100000 or 1e5, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, sha1", [
+    ("--json", "89f394d86bcc536a21ae2101640c267e4a0bc466"),
+    ("--csv", "f3901bac48c0c28c750e09bc9428566a17444b27"),
+    (None, "42969efd1ef812721b239cba327a7134e10a92b1"),
+])
+def test_3ap_output_pinned(mode, sha1, capsys):
+    code, out, _ = run_cli(capsys, "3ap", "--limit", "1e4", *([mode] if mode else []))
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("mode, sha1", [
+    ("--json", "6d49978c682745f054ca26707cf6f8d348da5320"),
+    ("--csv", "30d5152ac503b510be4034d710d4e200c2043bcc"),
+    (None, "7d8aa15afeeab00a8c23d3b289e3ac5eeaf8339a"),
+])
+def test_verify_ternary_rows_pinned_across_chunks(mode, sha1, capsys):
+    # 75,000 rows: the rows are formatted in 2^16-index chunks
+    code, out, _ = run_cli(capsys, "verify-ternary", "--limit", "3e5", *([mode] if mode else []))
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 def test_3ap_csv(capsys):

@@ -1,12 +1,13 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiprimes import expsum as E
+from fiprimes import expsum as E, primes as P
 from fiprimes.gaussian import GaussianInt, enumerate_annulus
 from fiprimes import lattice as LM
 from fiprimes.lattice import lattice_new
@@ -48,7 +49,7 @@ def test_weighted_expsum_ll_damping_at_third():
 
 
 def test_arc_classification():
-    arcs = E.ArcDecomposition(x=10**8, exponent=2.0)
+    arcs = E.ArcDecomposition(x=10**8)
     assert arcs.q_bound == 339
     assert 2 * arcs.radius * arcs.q_bound**2 < 1.0  # arcs are disjoint
     assert arcs.classify(1.0 / 3.0) == E.Arc(q=3, a=1)
@@ -59,7 +60,7 @@ def test_arc_classification():
 
 
 def test_arc_grid_vector_scalar_agree():
-    arcs = E.ArcDecomposition(x=10**8, exponent=2.0)
+    arcs = E.ArcDecomposition(x=10**8)
     gs = np.arange(2000) / 2000.0
     qm = arcs.classify_grid(gs)
     for i in range(0, 2000, 17):
@@ -69,13 +70,8 @@ def test_arc_grid_vector_scalar_agree():
             assert scalar.q == qm[i]
 
 
-def test_arc_full_exponent_covers_everything():
-    arcs = E.ArcDecomposition(x=10**6, exponent=E.ARC_EXPONENT_FULL)
-    assert arcs.radius > 1.0  # the major arcs swallow [0, 1] at desk x
-
-
 def test_arc_grid_million_points_all_classified():
-    arcs = E.ArcDecomposition(x=10**8, exponent=2.0)
+    arcs = E.ArcDecomposition(x=10**8)
     gs = np.arange(10**6) / 10**6
     qs = arcs.classify_grid(gs)
     assert len(qs) == 10**6
@@ -87,9 +83,9 @@ def test_arc_grid_million_points_all_classified():
     assert qs[333333] == 3  # nearest rational to 0.333333 within radius is 1/3
 
 
-def test_arc_farey_table_matches_scan_at_1e8():
-    arcs = E.ArcDecomposition(x=10**8, exponent=2.0)
-    centers, qs, nums = arcs._farey()  # disjoint arcs: the table path is taken
+def test_arc_farey_table_matches_scan_at_1e8(monkeypatch):
+    arcs = E.ArcDecomposition(x=10**8)
+    centers, qs, nums = arcs._farey  # disjoint arcs: the table path is taken
     assert len(centers) == 35059
     assert np.all(np.diff(centers) > 0)
     assert (qs[-1], nums[-1]) == (1, 1)
@@ -103,15 +99,24 @@ def test_arc_farey_table_matches_scan_at_1e8():
     fast = arcs.classify_grid(gs)
     assert np.array_equal(fast, arcs._classify_grid_scan(gs % 1.0))
     assert 0.3 < float((fast > 0).mean()) < 0.7  # both outcomes are exercised
-    # g = r lies exactly on the edge of the 0/1 arc: abs(r - 0.0) == r
-    for g in [*gs[::40].tolist(), r, 1.0 - r]:
-        assert arcs.classify(g) == arcs._classify_scan(g % 1.0), g.hex()
+    # the scan's arc: its q, and a = round(g q) mod q; g = r lies exactly on
+    # the edge of the 0/1 arc: abs(r - 0.0) == r
+    pts = [*gs[::40].tolist(), r, 1.0 - r]
+    want = [E.Arc(q, round(g % 1.0 * q) % q) if q else None
+            for g, q in zip(pts, arcs._classify_grid_scan(np.array(pts) % 1.0).tolist())]
+    assert [arcs.classify(g) for g in pts] == want
+    # the same x without its table runs the scan on each point
+    monkeypatch.setattr(E, "FAREY_MAX_BYTES", 0)
+    scan = E.ArcDecomposition(x=10**8)
+    assert scan._farey is None
+    for g, arc in list(zip(pts, want))[::20]:
+        assert scan.classify(g) == arc, g.hex()
     assert arcs.classify(r) == E.Arc(q=1, a=0)
     assert arcs.classify(-1e-20) == E.Arc(q=1, a=0)  # -1e-20 % 1.0 == 1.0, the 1/1 entry
 
 
 def test_arc_farey_table_is_read_only():
-    for arr in E.ArcDecomposition(x=10**8)._farey():
+    for arr in E.ArcDecomposition(x=10**8)._farey:
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -119,18 +124,14 @@ def test_arc_farey_table_is_read_only():
 def test_arc_overlapping_or_oversized_tables_fall_back_to_scan(monkeypatch):
     small = E.ArcDecomposition(x=10**3)
     assert 2 * small.radius * small.q_bound**2 >= 1.0
-    assert small._farey() is None
-    full = E.ArcDecomposition(x=10**6, exponent=E.ARC_EXPONENT_FULL)
-    assert full._farey() is None
-    assert full.classify(0.3) == E.Arc(1, 0)
+    assert small._farey is None
     gs = np.linspace(0.0, 1.0, 2001)
-    assert np.array_equal(full.classify_grid(gs), np.ones(len(gs), dtype=np.int64))
     assert small.classify_grid(gs)[1000] == 2  # 1/2
     assert small.classify(0.5) == E.Arc(q=2, a=1)
-    big = E.ArcDecomposition(x=10**8)
-    want = big.classify_grid(gs)
+    want = E.ArcDecomposition(x=10**8).classify_grid(gs)
     monkeypatch.setattr(E, "FAREY_MAX_BYTES", 0)
-    assert big._farey() is None
+    big = E.ArcDecomposition(x=10**8)  # the table is built once per instance
+    assert big._farey is None
     assert np.array_equal(big.classify_grid(gs), want)
     assert big.classify(1.0 / 3.0) == E.Arc(q=3, a=1)
 
@@ -171,6 +172,37 @@ def test_type1_minor_arc_smaller():
     v_half = E.type1_sum(0.5, 100, lambda l: 1.0, 1, 1, 10**6)
     v_gold = E.type1_sum(golden, 100, lambda l: 1.0, 1, 1, 10**6)
     assert v_half > 2.0 * v_gold
+
+
+def test_type1_byte_estimate_bounds_the_peaks(monkeypatch):
+    # the tracemalloc peak is at most the bytes checked, for both phases and W > 1
+    checked = []
+    monkeypatch.setattr(E, "check_bytes", lambda nbytes, what: checked.append(nbytes))
+    for x in (10**3, 10**4, 10**5):
+        for W, b in ((1, 1), (4, 1), (12, 5)):
+            for phase in ("n", "dn"):
+                tracemalloc.start()
+                try:
+                    E.type1_sum(0.37, 10, lambda l: 1.0, W, b, x, phase=phase)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= checked[-1], (x, W, phase, peak, checked[-1])
+
+
+def test_type1_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+    # 73 bytes per integer 0..x and 256 KB of cast buffers
+    need = 73 * 1001 + 2**18
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", need)
+    E.type1_sum(0.37, 5, lambda l: 1.0, 1, 1, 1000, phase="dn")
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", need - 1)
+    forbid_alloc()
+    with pytest.raises(P.CapacityError, match="Type I sum to 1000 needs"):
+        E.type1_sum(0.37, 5, lambda l: 1.0, 1, 1, 1000, phase="dn")
+    monkeypatch.undo()
+    forbid_alloc()
+    with pytest.raises(P.CapacityError):
+        E.type1_sum(0.37, 5, lambda l: 1.0, 1, 1, 3 * 10**7)
 
 
 def test_type2_lattice_sum_zero_frequency():

@@ -5,13 +5,17 @@ fields, CLI flags), so a change that breaks that interface fails here
 instead of in a benchmark run.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fiprimes import primes as P
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -33,3 +37,26 @@ def test_workload_runs_without_failures(workloads, name, tmp_path):
     run(setup(1, tmp_path), job)
     assert job.attempted > 0
     assert job.failed == 0
+
+
+# every per-layer name that the worker resolves through the tracer
+RESOLVE_LAYERS = """
+import json, sys
+from spans import COMPUTED, Tracer
+
+spec = json.loads(open(sys.argv[1]).read())
+tracer = Tracer()
+tracer.install()
+for metric in spec["per_layer"]:
+    name = metric["name"]
+    if name not in COMPUTED and name not in ("primes.cache_file_bytes", "trace.overhead_s"):
+        tracer.resolve(name.rsplit(".", 1)[0])
+"""
+
+
+def test_traced_layer_names_resolve():
+    # Tracer.install() patches the whole package, so it runs in its own process
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-B", "-c", RESOLVE_LAYERS, str(ROOT / "BENCHMARK.json")],
+                          cwd=PERFBENCH, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -286,19 +286,19 @@ def test_prime_power_pairs_examples(n, rows):
 
 def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
     # the row sieve (4 bytes per cell of its block, 480 per row, 64 per
-    # integer up to sqrt x) and 17 bytes per hit: 9,840 bytes at 1372 (one
-    # block of 11 rows of 18 + 1 cells, 76 hits); at 1373 = 37^2 + 2^2 the
-    # row l = 37 starts, the row sieve's 9,152 bytes pass, and the hits
-    # pass 10,000 bytes before the last row
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
+    # integer up to sqrt x, 8,192 fixed) and 17 bytes per hit: 18,032 bytes
+    # at 1372 (one block of 11 rows of 18 + 1 cells, 76 hits); at
+    # 1373 = 37^2 + 2^2 the row l = 37 starts, the row sieve's 17,344 bytes
+    # pass, and the hits pass 18,192 bytes before the last row
+    x = 10**5
+    rows = list(P._prime_power_rows(x))
+    need = P._row_sieve_bytes(x)[1] + 17 * sum(len(primes) for _, primes in rows)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 18_192)
     P._compute_fi_primes(1372)
     with pytest.raises(P.CapacityError):
         P._compute_fi_primes(1373)
     # the hits are counted as the rows come: with a budget one byte short,
     # the last row raises before the hits are concatenated
-    x = 10**5
-    rows = list(P._prime_power_rows(x))
-    need = P._row_sieve_bytes(x)[1] + 17 * sum(len(primes) for _, primes in rows)
     monkeypatch.setattr(P, "_prime_power_rows", lambda limit: iter(rows))
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", need)
     assert np.array_equal(P._compute_fi_primes(x), fi_primes_by_sieve(x))
@@ -310,8 +310,8 @@ def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypat
 
 def test_weighted_count_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
     # the row sieve's bound alone: 4 bytes per cell of its block, 480 per
-    # row, 64 per integer up to sqrt x: 8,548 bytes at 1372
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 10_000)
+    # row, 64 per integer up to sqrt x, 8,192 fixed: 16,740 bytes at 1372
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 18_192)
     P.fi_weighted_count(1372)
     forbid_alloc()
     with pytest.raises(P.CapacityError):

@@ -15,19 +15,21 @@ from conftest import lambda_lambda_table
 
 
 def test_find_representation_examples():
-    w = T.find_representation(15)
+    fi = fi_primes_upto(1000)
+    w = T.find_representation(15, fi, 1000)
     assert (w.p1, w.p2, w.p3) == (5, 5, 5)
-    assert T.find_representation(19) is None
-    w87 = T.find_representation(87)
+    assert T.find_representation(19, fi, 1000) is None
+    w87 = T.find_representation(87, fi, 1000)
     assert (w87.p1, w87.p2, w87.p3) == (5, 29, 53)
     assert w87.validate()
     for x in (16, 17, 18, 101):  # a sum of three FI primes is 3 (4)
-        assert T.find_representation(x) is None
+        assert T.find_representation(x, fi, 1000) is None
 
 
 def test_witness_revalidation():
+    fi = fi_primes_upto(1500)
     for x in range(15, 1500, 4):
-        w = T.find_representation(x)
+        w = T.find_representation(x, fi, 1500)
         if w is not None:
             assert w.validate(), x
 
@@ -46,8 +48,6 @@ def test_table_too_small():
 
 def test_non_fi_residue_rejected():
     bad = np.array([5, 7, 13], dtype=np.int64)  # 7 = 3 (4) has no (p - 1)/4 index
-    with pytest.raises(ValueError):
-        T.scan_exceptions(100, fi=bad)
     with pytest.raises(ValueError):
         T.find_representation(99, table=bad, table_limit=100)
 
@@ -203,7 +203,8 @@ def test_exceptions_against_triple_loop():
 def test_find_representation_against_nested_loops():
     # smallest p1, then smallest p2, from plain Python sets
     X = 3000
-    fi = [int(p) for p in fi_primes_upto(X)]
+    table = fi_primes_upto(X)
+    fi = table.tolist()
     in_fi = set(fi)
     for x in range(3, X + 1):
         expected = None
@@ -216,20 +217,20 @@ def test_find_representation_against_nested_loops():
                 if p2 >= p1 and x - p1 - p2 in in_fi:
                     expected = (p1, p2, x - p1 - p2)
                     break
-        w = T.find_representation(x)
+        w = T.find_representation(x, table, X)
         assert (w and (w.p1, w.p2, w.p3)) == expected, x
 
 
 def test_swept_witnesses_match_per_x_search():
     X = 2 * 10**4
     fi = fi_primes_upto(X)
-    p1, p2 = T.smallest_witnesses(X, fi=fi)
+    p1, p2 = T.smallest_witnesses(X)
     assert len(p1) == len(p2) == (X - 3) // 4 + 1
     for m, (a, b) in enumerate(zip(p1.tolist(), p2.tolist())):
         x = 4 * m + 3
         w = T._smallest_witness(x, fi)
         assert (w.p1, w.p2) == (a, b) if w else a == b == 0, x
-    assert list(4 * np.flatnonzero(p1 == 0) + 3) == list(T.scan_exceptions(X, fi=fi))
+    assert list(4 * np.flatnonzero(p1 == 0) + 3) == list(T.scan_exceptions(X))
 
 
 def test_smallest_witnesses_pinned():
@@ -241,7 +242,7 @@ def test_smallest_witnesses_pinned():
 def test_dense_phase_matches_the_sparse_sweep():
     # the reference is _first_parts on every target, with no dense phase
     X = 10**6
-    in_fi, parts = T._fi_bitmap(X, fi_primes_upto(X), 1)
+    in_fi, parts = T._fi_bitmap(X, None, 1)
     targets = np.arange(len(in_fi))
     first = T._first_parts(targets, parts, in_fi, 2)
     two = T._covered(parts, in_fi, 2)
@@ -267,8 +268,8 @@ def test_covered_against_double_loop(seed, n, k):
     assert T._covered(parts, table, k).tolist() == [s >= 0 for s in first]
 
 
-def test_ternary_byte_estimates_bound_the_peaks(monkeypatch):
-    # each scan's tracemalloc peak, table given, is at most the bytes it checks
+def test_ternary_byte_estimates_bound_the_peaks(monkeypatch, tmp_path):
+    # each scan's tracemalloc peak, on a cache hit, is at most the bytes it checks
     checked = []
 
     def check_bytes(nbytes, what):
@@ -284,10 +285,11 @@ def test_ternary_byte_estimates_bound_the_peaks(monkeypatch):
         (T.scan_exceptions, 10**4),
         (T.smallest_witnesses, 10**4),
     ):
-        fi = fi_primes_upto(X)
+        cache = tmp_path / str(X)
+        fi_primes_upto(X, cache_dir=cache)
         tracemalloc.start()
         try:
-            scan(X, fi)
+            scan(X, cache)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,7 +298,7 @@ def test_ternary_byte_estimates_bound_the_peaks(monkeypatch):
 
 def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
     # each consumer of the row sieve peaks under tracemalloc at most at the
-    # bytes it checks last (0.38 to 0.81 of them at 10^5 to 10^8)
+    # bytes it checks last (0.38 to 0.81 of them at 10^3 to 10^8)
     checked, real = [], P.check_bytes
 
     def check_bytes(nbytes, what):
@@ -306,7 +308,7 @@ def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
     monkeypatch.setattr(P, "check_bytes", check_bytes)
     monkeypatch.setattr(T, "check_bytes", check_bytes)
     builds = (P.fi_weighted_count, P._compute_fi_primes, lambda x: T.wtrick_build(x, 1))
-    for x in (10**5, 10**6, 10**7, 10**8):
+    for x in (10**3, 10**4, 10**5, 10**6, 10**7, 10**8):
         for build in builds:
             tracemalloc.start()
             try:
@@ -317,19 +319,35 @@ def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
             assert peak <= checked[-1], (x, peak, checked[-1])
 
 
-def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
+def test_row_sieve_refuses_a_huge_x_before_listing_its_rows():
+    # 64 bytes per integer up to sqrt x are checked first: at 1e16 the rows'
+    # list would hold the 5.76 million primes to 1e8
+    builds = (P.fi_weighted_count, P._compute_fi_primes, lambda x: T.wtrick_build(x, 1))
+    for x in (10**16, 10**20):
+        for build in builds:
+            tracemalloc.start()
+            try:
+                with pytest.raises(P.CapacityError, match="row sieve to "):
+                    build(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**6, (x, peak)
+
+
+def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc, tmp_path):
     # 6 bytes per index m in [0, M], M = (X - 3) // 4, for scan_exceptions and
     # 40 for smallest_witnesses: X = 1023 has M + 1 = 256 indices, X = 1027 one
-    # more.  The table is given, since its own estimate is over 6 * 256 bytes.
-    fi = fi_primes_upto(1027)
+    # more.  The table is a cache hit, since its own estimate is over 6 * 256 bytes.
+    fi_primes_upto(1027, cache_dir=tmp_path)
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 6 * 256)
-    assert list(T.scan_exceptions(1023, fi)) == [3, 7, 11, 19, 27, 35, 43]
+    assert list(T.scan_exceptions(1023, tmp_path)) == [3, 7, 11, 19, 27, 35, 43]
     with pytest.raises(P.CapacityError):
-        T.scan_exceptions(1027, fi)
+        T.scan_exceptions(1027, tmp_path)
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 40 * 256)
-    T.smallest_witnesses(1023, fi)
+    T.smallest_witnesses(1023, tmp_path)
     with pytest.raises(P.CapacityError):
-        T.smallest_witnesses(1027, fi)
+        T.smallest_witnesses(1027, tmp_path)
     monkeypatch.undo()
     forbid_alloc()
     with pytest.raises(P.CapacityError):
