@@ -129,23 +129,38 @@ def rough_indicator(n: int, z: float) -> int:
 def rough_mask(limit: int, z: float) -> np.ndarray:
     """Fresh bool array with mask[n] == rough_indicator(n, z) for 0 < n <= limit.
 
-    mask[0] is False.  Built by striking the multiples of every prime
-    p <= z; primes above the limit strike nothing.  Raises CapacityError,
-    before allocating, past the budget: limit + 1 bytes for the mask, 2 per
-    integer n to min(z, limit) for the cached sieve and its segment, 64 per
-    prime there (two int64 arrays, then the cached one and a list of ints;
-    under 1.26 n / log n primes, Rosser and Schoenfeld 1962), and 4 KB.
+    mask[0] is False, the even n are rough only for z < 2 (or NaN) and the
+    odd n come from ``_strike_odd``.  Raises CapacityError, before
+    allocating, past ``_check_rough_bytes`` with limit + 1 bytes of flags.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    _check_rough_bytes(limit + 1, limit, z)
+    mask = np.full(limit + 1, not z >= 2)
+    _strike_odd(mask[1::2], z)
+    mask[0] = False
+    return mask
+
+
+def _check_rough_bytes(nbytes: int, limit: int, z: float) -> None:
+    """The budget of nbytes for flags, 2 per integer to min(z, limit) for the cached sieve and
+    its segment, 64 per prime there (two int64 arrays, then the cached one and a list of
+    ints; under 1.26 n / log n primes, Rosser and Schoenfeld 1962), and 4 KB."""
     top = int(max(0.0, min(z, limit)))
     n_primes = math.ceil(1.26 * top / math.log(max(top, 2)))
-    check_bytes(limit + 1 + 2 * (top + 1) + 64 * n_primes + 4096, f"rough mask to {limit}")
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
-    for p in primes_upto(top).tolist():
-        mask[p::p] = False
-    return mask
+    check_bytes(nbytes + 2 * (top + 1) + 64 * n_primes + 4096, f"rough mask to {limit}")
+
+
+def _strike_odd(odd: np.ndarray, z: float) -> np.ndarray:
+    """The one rough kernel: odd[i] = rough_indicator(2 i + 1, z), returned.
+
+    Indexed as in ``primes._sieve_odd``, each odd prime p <= z strikes its
+    odd multiples from (p - 1)/2 with step p.
+    """
+    odd[:] = True
+    for p in primes_upto(int(max(0.0, min(z, 2 * len(odd) - 1))))[1:].tolist():
+        odd[p >> 1 :: p] = False
+    return odd
 
 
 @dataclass(frozen=True)
@@ -161,11 +176,15 @@ def rough_count(T: int, z: float) -> RoughCount:
     The prediction integrates B(t, z) = B(log t/log z)/log z over (0, T],
     splitting at the kink points t = z^j.  It is flagged unreliable when
     z < T^0.1 (outside the validity range of the approximation); the exact
-    count is returned regardless.
+    count is returned regardless.  Raises CapacityError, before allocating,
+    past the budget of ``_check_rough_bytes``; the shared B table checks its own.
     """
     if not (2 <= z <= T):
         raise ValueError("need 2 <= z <= T")
-    exact = int(np.count_nonzero(rough_mask(T, z)))
+    # z >= 2 leaves only odd n rough: the odd half of a mask, and 16 KB for the
+    # prediction's quadrature (at most 40 nested calls of about 16 floats)
+    _check_rough_bytes((T + 1) // 2 + (1 << 14), T, z)
+    exact = int(np.count_nonzero(_strike_odd(np.empty((T + 1) // 2, dtype=bool), z)))
 
     log_z = math.log(z)
     u_top = math.log(T) / log_z

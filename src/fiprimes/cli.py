@@ -38,10 +38,10 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write non-empty lines to stdout, joined in batches: as fast as one
-    join, with memory bounded by a batch instead of the whole output."""
+    """Write non-empty lines to stdout, joined 1024 at a time: as fast as one
+    join, with memory bounded by a batch of tens of KB."""
     it = iter(lines)
-    while batch := "".join(itertools.islice(it, 1 << 16)):
+    while batch := "".join(itertools.islice(it, 1 << 10)):
         sys.stdout.write(batch)
 
 

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .gaussian import GaussianInt, enumerate_annulus, imag_product, is_primitive, star
 from .primes import factorize
 
@@ -267,8 +269,6 @@ def index_bruteforce(lat: StarLattice) -> int:
     The lattice is periodic mod delta, so this count equals delta^2 / index;
     the discriminant formula predicts exactly delta points.
     """
-    import numpy as np
-
     d = lat.delta
     res = np.arange(d, dtype=np.int64)
     re = res[:, None]

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .primes import euler_phi, factorize
+from .primes import REFERENCE_H, euler_phi, factorize
 
 
 def chi(n: int) -> int:
@@ -62,15 +62,8 @@ def psi_prime(q: int) -> Fraction:
 
 
 def reference_H() -> float:
-    """H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))), p odd prime, truncated at
-    the p <= 10^6.
-
-    The log of each omitted factor is at most 2/p^2 in absolute value, so
-    the relative tail is below 2e-6.  The product is a fixed number; the
-    oracle ``euler_H`` in tests/conftest.py recomputes it, and a test pins
-    this literal to it bit for bit.
-    """
-    return 2.1564103448531142
+    """H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))), odd p <= 10^6: ``primes.REFERENCE_H``."""
+    return REFERENCE_H
 
 
 def xi(q: int, a: int) -> Fraction:

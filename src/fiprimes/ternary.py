@@ -65,8 +65,8 @@ class RepresentationWitness:
 def find_representation(x: int, table: np.ndarray, table_limit: int) -> Optional[RepresentationWitness]:
     """Smallest witness (p1, p2, p3) with p1 <= p2 <= p3 summing to x, if any.
 
-    ``table`` is sorted, covers [2, table_limit] with table_limit >= x, and holds only
-    1 (mod 4) entries (``check_fi_residues``), else ValueError.  x != 3 (4) gives None.
+    ``table`` is sorted and covers [2, table_limit], table_limit >= x.  An entry <= x (the
+    only ones read) that is not 1 (mod 4) raises ValueError.  x != 3 (4) gives None.
     """
     if x < 3:
         raise ValueError("x must be >= 3")
@@ -74,8 +74,9 @@ def find_representation(x: int, table: np.ndarray, table_limit: int) -> Optional
         raise ValueError(f"table covers only [2, {table_limit}] < x = {x}")
     if x % 4 != 3:
         return None
-    check_fi_residues(table)
-    return _smallest_witness(x, table[: np.searchsorted(table, x, side="right")])
+    fi = table[: np.searchsorted(table, x, side="right")]
+    check_fi_residues(fi)
+    return _smallest_witness(x, fi)
 
 
 def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]:

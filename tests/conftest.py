@@ -28,6 +28,20 @@ def lambda_lambda_table(x: int) -> np.ndarray:
     return table
 
 
+def fi_decompositions_by_isqrt(n: int, ls) -> list[tuple[int, int]]:
+    """Oracle of ``fi_decompositions(n, ls)`` as (k, l) pairs: one
+    ``math.isqrt`` per l of the increasing ``ls``, up to the first l^2 >= n."""
+    out = []
+    for l in ls:
+        rem = n - l * l
+        if rem < 1:
+            break
+        k = math.isqrt(rem)
+        if k * k == rem:
+            out.append((k, l))
+    return out
+
+
 def euler_H(p_limit: int) -> tuple[float, float]:
     """Partial product of H = 2 prod_p (1 - chi(p)/((p-1)(p-chi(p)))), p odd prime.
 

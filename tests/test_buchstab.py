@@ -197,6 +197,40 @@ def test_rough_mask_byte_estimate_bounds_the_peaks(monkeypatch):
         assert peak <= checked[-1], (limit, z, peak, checked[-1])
 
 
+@pytest.mark.parametrize("limit", range(4))
+@pytest.mark.parametrize("z", [-1.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, math.inf, math.nan])
+def test_rough_mask_edges_match_the_indicator(limit, z):
+    # z < 2 leaves the even n rough, z >= 2 strikes them; z >= limit strikes every prime
+    expected = [False] + [bool(B.rough_indicator(n, z)) for n in range(1, limit + 1)]
+    assert B.rough_mask(limit, z).tolist() == expected
+
+
+@pytest.mark.parametrize("T", [2, 3, 4, 5, 9, 10, 97, 1000])
+def test_rough_count_matches_the_indicator(T):
+    for z in (2, 2.5, 3, math.sqrt(T), T - 0.5, T):
+        if 2 <= z <= T:
+            assert B.rough_count(T, z).exact == sum(B.rough_indicator(n, z) for n in range(1, T + 1)), z
+
+
+def test_rough_count_byte_estimate_bounds_the_peaks(monkeypatch):
+    # the odd half of a mask, the sieve to min(z, T) and its primes, and the
+    # quadrature, with the prime caches cleared and the shared B table built
+    # (it has its own check): 0.31 to 0.96 of the bytes checked
+    B.buchstab_B(30.0)
+    checked = []
+    monkeypatch.setattr(B, "check_bytes", lambda nbytes, what: checked.append(nbytes))
+    for T, z in ((999, 2), (10**4, 2), (10**6, 2), (10**6, 10**3), (10**6, 10**6)):
+        primes.simple_sieve.cache_clear()
+        primes.primes_upto.cache_clear()
+        tracemalloc.start()
+        try:
+            B.rough_count(T, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checked[-1], (T, z, peak, checked[-1])
+
+
 def test_rough_count_examples():
     rc = B.rough_count(100, 10)
     assert rc.exact == 22

@@ -189,7 +189,8 @@ def test_rough_over_the_byte_budget_exit_code(capsys, forbid_alloc):
     forbid_alloc()
     code, _, err = run_cli(capsys, "rough", "--limit", "10000000000", "--z", "1000")
     assert code == 1
-    assert err.startswith("error: rough mask to 10000000000 needs 10000017811 bytes")
+    # half a byte per integer: the count reads the odd numbers only
+    assert err.startswith("error: rough mask to 10000000000 needs 5000034194 bytes")
 
 
 def test_buchstab_command(capsys):

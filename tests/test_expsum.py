@@ -157,6 +157,45 @@ def test_inner_weight_table_matches_decompositions(x):
     assert table.tolist() == expected
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# type1_sum(gamma, D_I, _omega_at_5, W, b, x) for phase "n" and phase "dn",
+# as float.hex, from the per-d route (an exp, % and // over the multiples of
+# each d) that the strided phase table replaced.  The grid has W in
+# {1, 4, 6, 12}, b >= W, gcd(b, W) > 1, d sharing factors with W, empty
+# classes (3 (mod 4), 0 (mod 12)), D_I = 0 and x < W.
+TYPE1_PINS = [
+    ((0.37, 13, 1, 1, 3000), "0x1.548244d4bc4f2p+7", "0x1.6192710b58d71p+6"),
+    ((0.37, 13, 4, 1, 3000), "0x1.f1830de4180e3p+5", "0x1.72424d0f69f7ep+5"),
+    ((0.37, 13, 4, 3, 3000), "0x0.0p+0", "0x0.0p+0"),
+    ((0.37, 13, 4, 6, 3000), "0x1.0ebdff78e8accp+7", "0x1.ef36416ce4d07p+5"),
+    ((0.37, 13, 6, 5, 3000), "0x1.7569f3a184258p+5", "0x1.68efa620bfa4ap+5"),
+    ((0.37, 13, 6, 4, 3000), "0x1.8156bc7d8762ep+6", "0x1.3280e99cce04cp+6"),
+    ((0.37, 13, 6, 9, 3000), "0x1.193d73fa9abadp+3", "0x1.346290970601ap+2"),
+    ((0.37, 13, 12, 0, 3000), "0x0.0p+0", "0x0.0p+0"),
+    ((0.37, 13, 12, 8, 3000), "0x1.1fbe567ebf717p+3", "0x1.cb201adb5b1c8p+3"),
+    ((0.37, 13, 12, 17, 3000), "0x1.7569f3a184258p+5", "0x1.68efa620bfa48p+5"),
+    ((GOLDEN, 30, 12, 10, 5000), "0x1.6632bc95b17edp+7", "0x1.12ce169dd8c55p+7"),
+    ((GOLDEN, 30, 6, 1, 5000), "0x1.2e87a42f7985dp+7", "0x1.2c1c2c1ac428cp+7"),
+    ((0.37, 0, 4, 1, 3000), "0x0.0p+0", "0x0.0p+0"),
+    ((0.37, 20, 1, 1, 100000), "0x1.39048bc548bd1p+9", "0x1.5c7a6b05ff511p+9"),
+    ((GOLDEN, 7, 4, 1, 200000), "0x1.b2176cba7f731p+9", "0x1.a79dea6b1f179p+9"),
+    ((0.37, 13, 12, 5, 7), "0x1.62e42fefa39efp+0", "0x1.62e42fefa39f0p+0"),
+    ((0.37, 13, 6, 5, 5), "0x1.62e42fefa39efp+0", "0x1.62e42fefa39f0p+0"),
+]
+
+
+def _omega_at_5(l):
+    return math.log(l) if l % 5 else 1.0
+
+
+@pytest.mark.parametrize("args, n_hex, dn_hex", TYPE1_PINS)
+def test_type1_pinned_bit_for_bit(args, n_hex, dn_hex):
+    gamma, D_I, W, b, x = args
+    for phase, want in (("n", n_hex), ("dn", dn_hex)):
+        assert E.type1_sum(gamma, D_I, _omega_at_5, W, b, x, phase=phase).hex() == want, phase
+
+
 def test_type1_empty():
     assert E.type1_sum(0.25, 0, lambda l: 1.0, 1, 1, 1000) == 0.0
 
@@ -191,8 +230,8 @@ def test_type1_byte_estimate_bounds_the_peaks(monkeypatch):
 
 
 def test_type1_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # 73 bytes per integer 0..x and 256 KB of cast buffers
-    need = 73 * 1001 + 2**18
+    # 40 bytes per integer 0..x and 256 KB of cast buffers
+    need = 40 * 1001 + 2**18
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", need)
     E.type1_sum(0.37, 5, lambda l: 1.0, 1, 1, 1000, phase="dn")
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", need - 1)
@@ -202,7 +241,7 @@ def test_type1_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid
     monkeypatch.undo()
     forbid_alloc()
     with pytest.raises(P.CapacityError):
-        E.type1_sum(0.37, 5, lambda l: 1.0, 1, 1, 3 * 10**7)
+        E.type1_sum(0.37, 5, lambda l: 1.0, 1, 1, 6 * 10**7)  # 2.4e9 bytes
 
 
 def test_type2_lattice_sum_zero_frequency():

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from fiprimes import primes as P
 
 from conftest import (
+    fi_decompositions_by_isqrt,
     fi_primes_by_sieve,
     fi_weighted_count_by_sieve,
     lambda_lambda_table,
@@ -105,6 +110,42 @@ def test_fi_decompositions_examples():
     assert P.fi_decompositions(17) == []
     assert P.fi_decompositions(4) == []
     assert [(d.k, d.l) for d in P.fi_decompositions(8)] == [(2, 2)]
+
+
+@st.composite
+def near_sums_of_two_squares(draw):
+    """(n, ls): n within 2 of k^2 + l^2 for some l in the increasing ``ls``,
+    at scales up to the bound 2^62."""
+    top = draw(st.sampled_from([2**20, 2**52, 2**53, 2**62]))
+    l = draw(st.integers(1, math.isqrt(top) // 2))
+    k = draw(st.integers(1, math.isqrt(top - l * l)))
+    n = min(max(k * k + l * l + draw(st.integers(-2, 2)), 1), 2**62)
+    others = draw(st.lists(st.integers(1, math.isqrt(n) + 1), max_size=20))
+    return n, sorted({l, l + 1, *others})
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_sums_of_two_squares())
+@example((2**52 - 1, [1, 2, 3]))
+@example((2**52 + 1, [1, 2, 3]))  # (2^26)^2 + 1
+@example((2**52 + 4, [1, 2, 3]))  # (2^26)^2 + 2^2
+@example(((2**26 - 1) ** 2 + 9, [1, 2, 3, 4]))
+@example((2**53 + 1, list(range(1, 3000))))
+@example((2**54 + 25, [2, 3, 5]))  # (2^27)^2 + 5^2, past 2^53
+@example(((2**31 - 1) ** 2 + 9, [1, 2, 3, 2**16]))  # k^2 just below 2^62
+@example((2**62, [1, 2, 3, 2**31 - 1, 2**31]))
+def test_fi_decompositions_match_the_isqrt_loop(case):
+    n, ls = case
+    got = [(d.k, d.l) for d in P.fi_decompositions(n, ls)]
+    assert got == fi_decompositions_by_isqrt(n, ls)
+    assert got == [(d.k, d.l) for d in P.fi_decompositions(n, np.array(ls, dtype=np.int64))]
+
+
+def test_fi_decompositions_bound():
+    assert P.fi_decompositions(2**62, [2**31 - 1]) == []
+    for n in (0, 2**62 + 1):
+        with pytest.raises(ValueError, match="2\\^62"):
+            P.fi_decompositions(n, [1])
 
 
 def test_fi_decompositions_bruteforce():
@@ -316,6 +357,28 @@ def test_weighted_count_over_the_byte_budget_raises_before_allocating(monkeypatc
     forbid_alloc()
     with pytest.raises(P.CapacityError):
         P.fi_weighted_count(10**6)
+
+
+FIRST_CALL = """
+import tracemalloc
+from fiprimes import primes as P
+checked = []
+check = P.check_bytes
+P.check_bytes = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)
+tracemalloc.start()
+P.fi_weighted_count(1000)
+print(tracemalloc.get_traced_memory()[1], max(checked))
+"""
+
+
+def test_weighted_count_first_call_stays_within_the_checked_bytes():
+    # in a fresh process the first call pays for any import it makes; it makes none
+    src = str(Path(P.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-B", "-c", FIRST_CALL], env=env,
+                          capture_output=True, text=True, check=True)
+    peak, checked = map(int, done.stdout.split())
+    assert peak <= checked, (peak, checked)
 
 
 def test_weighted_count_includes_outer_prime_powers():

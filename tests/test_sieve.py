@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,32 @@ def test_majorant_table_over_the_byte_budget_raises_before_allocating(monkeypatc
     forbid_alloc()
     with pytest.raises(P.CapacityError, match=f"majorant table to {x} needs"):
         S.majorant_table(x)
+
+
+def test_lambda_plus_byte_estimate_bounds_the_peaks(monkeypatch, params_1e12):
+    checked = []
+    monkeypatch.setattr(S, "check_bytes", lambda nbytes, what: checked.append(nbytes))
+    ev = S.MajorantEvaluator(params_1e12)
+    for n in (97, 999983, 10**10 + 19, 10**12 - 11):
+        tracemalloc.start()
+        try:
+            ev.lambda_plus(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checked[-1], (n, peak, checked[-1])
+
+
+def test_lambda_plus_over_the_byte_budget_raises_before_allocating(monkeypatch, params_1e12):
+    n = 10**12 - 11
+    need = 33 * math.isqrt(n - 1) + 8192
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", need)
+    ev = S.MajorantEvaluator(params_1e12)
+    assert ev.lambda_plus(n) >= 0.0
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", need - 1)
+    monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("allocated before the check"))
+    with pytest.raises(P.CapacityError, match=f"majorant at {n} needs"):
+        ev.lambda_plus(n)
 
 
 def test_majorant_error_sum_band():

@@ -137,3 +137,33 @@ def test_every_public_function_is_reached():
     # a function only its own tests call is code a reader must trust for no output
     found = unreferenced_functions(SRC, sorted(PERFBENCH.glob("*.py")))
     assert found == set(UNREFERENCED_ALLOWED)
+
+
+def nested_imports(source: str) -> list[int]:
+    """Lines of the imports that are not statements of the module body
+    itself: inside a function, a class, or an ``if`` or ``try`` block."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import math\nfrom . import primes\nfrom .primes import check_bytes as cb", []),
+    ("import math\ndef f():\n    return math.pi", []),
+    ("def f():\n    from .local import reference_H\n    return reference_H()", [2]),
+    ("class A:\n    import numpy as np", [2]),
+    ("def f():\n    def g():\n        import os\n    return g", [3]),
+    ("try:\n    import numpy\nexcept ImportError:\n    numpy = None", [2]),
+])
+def test_nested_import_detector(source, found):
+    assert nested_imports(source) == found
+
+
+def test_library_modules_import_at_module_level():
+    # an import inside a function is paid, in time and traced bytes, by its
+    # first call; cli.py imports per command to keep ``fi`` start-up light
+    files = sorted(f for f in SRC.glob("*.py") if f.name != "cli.py")
+    assert files
+    offenders = {f.name: lines for f in files if (lines := nested_imports(f.read_text()))}
+    assert offenders == {}

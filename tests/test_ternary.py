@@ -67,19 +67,20 @@ def test_bad_bytes_backed_table_raises_on_every_call():
             T.find_representation(99, table=bad, table_limit=100)
 
 
-def test_bad_entry_above_x_raises():
-    # the whole table is checked, not only its prefix <= x
+def test_bad_entry_above_x_is_not_read():
+    # only the prefix <= x is searched, so only it is checked
     fi = np.append(fi_primes_upto(100), 103)  # 103 = 3 (4)
+    assert T.find_representation(15, table=fi, table_limit=103).validate()
     with pytest.raises(ValueError, match="got 103"):
-        T.find_representation(15, table=fi, table_limit=103)
+        T.find_representation(103, table=fi, table_limit=103)
 
 
 def test_writable_table_is_checked_on_every_call():
     fi = fi_primes_upto(1000).copy()
     assert T.find_representation(87, table=fi, table_limit=1000).validate()
-    fi[-1] = 999
+    fi[-1] = 999  # read by a query at x = 999
     with pytest.raises(ValueError, match="got 999"):
-        T.find_representation(87, table=fi, table_limit=1000)
+        T.find_representation(999, table=fi, table_limit=1000)
 
 
 def _unpickled(limit):
@@ -95,9 +96,9 @@ def test_read_only_view_of_writable_table_is_checked_on_every_call(writable):
     view = base[:]
     view.flags.writeable = False
     assert T.find_representation(87, table=view, table_limit=10**4).validate()
-    base[-1] = 999
+    base[-1] = 999  # below x = 9999, so read by a query there
     with pytest.raises(ValueError, match="got 999"):
-        T.find_representation(87, table=view, table_limit=10**4)
+        T.find_representation(9999, table=view, table_limit=10**4)
 
 
 def test_read_only_unpickled_table_is_checked_on_every_call():
@@ -109,7 +110,7 @@ def test_read_only_unpickled_table_is_checked_on_every_call():
     assert T.find_representation(87, table=view, table_limit=10**4).validate()
     writer[-1] = 999
     with pytest.raises(ValueError, match="got 999"):
-        T.find_representation(87, table=view, table_limit=10**4)
+        T.find_representation(9999, table=view, table_limit=10**4)
 
 
 def test_reinterpreted_cache_table_is_checked_afresh(tmp_path):
@@ -129,11 +130,13 @@ def test_reinterpreted_cache_table_is_checked_afresh(tmp_path):
     for t in (root, root[:]):
         with pytest.raises(ValueError, match="got 0"):
             T.find_representation(87, table=t, table_limit=1000)
-    # the same dtype at a 4-byte offset: each entry joins the halves of two
+    # the same dtype at a 4-byte offset: each entry joins the halves of two.
+    # Every entry is past 2^32, so a query reads none of them; the check
+    # itself still scans the view rather than trust it
     shifted = np.ndarray((len(table) - 1,), "<i8", buffer=table, offset=4)
     assert not shifted.flags.aligned
     with pytest.raises(ValueError):
-        T.find_representation(87, table=shifted, table_limit=1000)
+        P.check_fi_residues(shifted)
 
 
 def test_residue_scan_runs_once_per_cache_loaded_table(tmp_path, monkeypatch):
