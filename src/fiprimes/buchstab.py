@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .primes import check_bytes, factorize, primes_upto
+from .primes import _pi_bound, check_bytes, factorize, primes_upto
 from .quadrature import adaptive_simpson
 
 UPPER_PLATEAU = (1.0 + math.log(2.0)) / 3.0
@@ -145,10 +145,9 @@ def rough_mask(limit: int, z: float) -> np.ndarray:
 def _check_rough_bytes(nbytes: int, limit: int, z: float) -> None:
     """The budget of nbytes for flags, 2 per integer to min(z, limit) for the cached sieve and
     its segment, 64 per prime there (two int64 arrays, then the cached one and a list of
-    ints; under 1.26 n / log n primes, Rosser and Schoenfeld 1962), and 4 KB."""
+    ints; at most ``_pi_bound`` primes), and 4 KB."""
     top = int(max(0.0, min(z, limit)))
-    n_primes = math.ceil(1.26 * top / math.log(max(top, 2)))
-    check_bytes(nbytes + 2 * (top + 1) + 64 * n_primes + 4096, f"rough mask to {limit}")
+    check_bytes(nbytes + 2 * (top + 1) + 64 * _pi_bound(top) + 4096, f"rough mask to {limit}")
 
 
 def _strike_odd(odd: np.ndarray, z: float) -> np.ndarray:

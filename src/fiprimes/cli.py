@@ -48,9 +48,9 @@ def _write_lines(lines: Iterable[str]) -> None:
 _INT_CHUNK = 1 << 16
 # the least value of each digit count from 2 to 19 (int64 tops out at 19 digits)
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-# entry r holds the two ASCII digits of r, "00" to "99", as one 2-byte cell
-_DIGIT_PAIRS = np.frombuffer("".join(f"{r:02d}" for r in range(100)).encode("ascii"),
-                             dtype=np.uint16)
+# entry r holds the four ASCII digits of r, "0000" to "9999", as one 4-byte cell
+_DIGIT_QUADS = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_DIGIT_QUADS = _DIGIT_QUADS.view(np.uint32).ravel()
 
 
 def _write_ints(a: np.ndarray, sep: str) -> None:
@@ -60,15 +60,17 @@ def _write_ints(a: np.ndarray, sep: str) -> None:
     2^16 entries at a time.  Sorted entries with the same number of digits d
     are a contiguous run of the chunk (``np.searchsorted`` on the powers of
     ten), and each run fills a byte matrix with one row per entry: the
-    separator, then the digits, two at a time from the right by
-    ``np.divmod(v, 100)`` and the "00".."99" table, and the leading digit of
-    an odd d last.  The leading digit of a d-digit number is never 0, so each
-    row reads exactly ``sep + str(v)``, and the output is the join that
+    separator, then the digits, four at a time from the right by
+    ``q = v // 10000`` and the "0000".."9999" table at v - 10000 q.  The
+    last cell, of the leading 1 to 4 digits, spills leading zeros to its
+    left, which the separator then overwrites or which fall in the cut-off
+    pad.  The leading digit of a d-digit number is never 0, so each row
+    reads exactly ``sep + str(v)``, and the output is the join that
     ``json.dumps`` (with sep ", ") and the text and CSV lines (with sep
-    "\\n") printed; the first entry's separator is dropped.  Memory is bounded
-    by the chunk, not by ``a``: its rows (at most len(sep) + 20 bytes each)
-    and their copies as bytes and str, and three int64 temporaries, under
-    10 MB in all.
+    "\\n") printed; the first entry's separator is dropped.  Memory is
+    bounded by the chunk, not by ``a``: its rows (at most len(sep) + 22
+    bytes each) and their copies as bytes and str, and three int64
+    temporaries, under 10 MB in all.
 
     A chunk that descends, does not continue the previous chunk in order,
     or starts below 0 raises ``ValueError``, so an unsorted or negative
@@ -86,20 +88,19 @@ def _write_ints(a: np.ndarray, sep: str) -> None:
         for d, (lo, hi) in enumerate(itertools.pairwise(edges), start=1):
             if lo == hi:
                 continue
-            # an even row width, so that the digit pairs, written from the
-            # right end, are aligned 2-byte cells; an odd row gets a pad byte
-            # in front, which is cut off
+            # a row width of a multiple of 4, so that the digit quads,
+            # written from the right end, are aligned 4-byte cells; the pad
+            # bytes in front are cut off
             w = len(head) + d
-            m = np.empty((hi - lo, w + w % 2), dtype=np.uint8)
-            cells = m.view(np.uint16)
+            m = np.empty((hi - lo, w + -w % 4), dtype=np.uint8)
+            cells = m.view(np.uint32)
             v = c[lo:hi]
-            for j in range(1, d // 2 + 1):
-                v, r = np.divmod(v, 100)
-                cells[:, -j] = _DIGIT_PAIRS[r]
-            row = m[:, w % 2:]
+            for j in range(1, -(-d // 4) + 1):
+                q = v // 10000
+                cells[:, -j] = _DIGIT_QUADS[v - 10000 * q]
+                v = q
+            row = m[:, -w % 4:]
             row[:, :len(head)] = head
-            if d % 2:
-                row[:, len(head)] = v + ord("0")
             parts.append(row.tobytes())
         text = b"".join(parts).decode("ascii")
         sys.stdout.write(text[len(head):] if start == 0 else text)

@@ -102,6 +102,7 @@ CONVENTION_MULTIPLIER = 0.5
 REFERENCE_H = 2.1564103448531142
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PRODUCT = math.prod(_MR_WITNESSES)
 
 
 @lru_cache(maxsize=32)
@@ -115,10 +116,11 @@ def simple_sieve(limit: int) -> np.ndarray:
     boolean array as the plain all-integers sieve of Eratosthenes, element
     for element; only the order in which composites are struck out changes.
     Peak memory is this array plus one segment and the base primes up to
-    sqrt(limit).
+    sqrt(limit), which ``_sieve_bytes`` bounds before anything is allocated.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    check_bytes(_sieve_bytes(limit), f"prime sieve to {limit}")
     is_prime = np.zeros(limit + 1, dtype=bool)
     _sieve_odd(is_prime[1::2])
     if limit >= 2:
@@ -129,10 +131,24 @@ def simple_sieve(limit: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def primes_upto(limit: int) -> np.ndarray:
-    """Sorted array of primes <= limit."""
-    primes = np.flatnonzero(simple_sieve(limit)).astype(np.int64)
+    """Sorted array of primes <= limit: the sieve's bytes and 8 per prime are checked first."""
+    check_bytes(_sieve_bytes(limit) + 8 * _pi_bound(limit), f"primes to {limit}")
+    primes = np.flatnonzero(simple_sieve(limit)).astype(np.int64, copy=False)
     primes.setflags(write=False)
     return primes
+
+
+def _pi_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x: 1.26 x / log x (Rosser and Schoenfeld, 1962)."""
+    return math.ceil(1.26 * x / math.log(max(x, 2)))
+
+
+def _sieve_bytes(limit: int) -> int:
+    """A bound on the bytes ``simple_sieve(limit)`` holds: its array, one
+    segment, the base primes to sqrt(limit) (a bytearray of flags, and a
+    list of Python ints at under 64 bytes each), and 4 KB."""
+    root = math.isqrt(limit)
+    return limit + 1 + min(SEGMENT_BYTES, (limit + 1) // 2) + root // 2 + 64 * _pi_bound(root) + 4096
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -166,17 +182,17 @@ def euler_phi(n: int) -> int:
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all n < 3.3e24.
+
+    Trial division by the witnesses is one gcd with their product, and
+    n - 1 = d 2^r is split at its lowest set bit."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _MR_PRODUCT) != 1:
+        return n in _MR_WITNESSES
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
     # the smallest strong pseudoprimes to bases (2, 3, 5) and (2, 3, 5, 7)
     k = 3 if n < 25_326_001 else 4 if n < 3_215_031_751 else len(_MR_WITNESSES)
     for a in _MR_WITNESSES[:k]:
@@ -489,11 +505,13 @@ def _row_sieve_bytes(x: int) -> tuple[int, int]:
 
 
 def _sqrt_minus_one(q: int) -> int:
-    """An s with s^2 = -1 (mod q), for a prime q = 1 (4): c^((q-1)/4) for a non-residue c."""
+    """An s with s^2 = -1 (mod q), for a prime q = 1 (4): s = c^((q-1)/4) for
+    the least non-residue c, the first c >= 2 whose s squares to
+    c^((q-1)/2) = -1 (c = 2 for q = 5 (8)); one pow per candidate."""
     c = 2
-    while q % 8 != 5 and pow(c, (q - 1) // 2, q) != q - 1:  # 2 is one for q = 5 (8)
+    while (s := pow(c, (q - 1) // 4, q)) * s % q != q - 1:
         c += 1
-    return pow(c, (q - 1) // 4, q)
+    return s
 
 
 def _row_batches(lens: list[int]) -> Iterator[tuple[int, int]]:

@@ -74,7 +74,7 @@ def find_representation(x: int, table: np.ndarray, table_limit: int) -> Optional
         raise ValueError(f"table covers only [2, {table_limit}] < x = {x}")
     if x % 4 != 3:
         return None
-    fi = table[: np.searchsorted(table, x, side="right")]
+    fi = table[: table.searchsorted(x, side="right")]
     check_fi_residues(fi)
     return _smallest_witness(x, fi)
 
@@ -83,10 +83,12 @@ def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]
     """The search behind ``find_representation`` for x = 3 (4).
 
     ``fi`` is sorted and holds every FI prime <= x.  For each p1 in
-    increasing order, the candidates p2 in [p1, (x - p1)/2] are read in
-    chunks of 64, then 4 times more each time, and x - p1 - p2 is looked up
-    in ``fi`` by binary search, so the work grows with the witness's p2,
-    not with x.
+    increasing order, the candidates p2 >= p1 are read in chunks of 64,
+    then 4 times more each time, and x - p1 - p2 is looked up in ``fi`` by
+    binary search, until the first hit or a chunk past (x - p1)/2, so the
+    work grows with the witness's p2, not with x.  A first hit past
+    (x - p1)/2 would have p3 < p2, and so would every later one: the next
+    p1 is tried.
     """
     n = len(fi)
     for i in range(n):
@@ -94,16 +96,19 @@ def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]
         if 3 * p1 > x:
             break
         t = x - p1
-        # p2 <= t/2 keeps p2 <= p3
-        hi = int(np.searchsorted(fi, t // 2, side="right"))
         lo, chunk = i, 64
-        while lo < hi:
-            cands = fi[lo : min(lo + chunk, hi)]
+        while lo < n:
+            cands = fi[lo : lo + chunk]
             rest = t - cands
-            hits = fi[np.minimum(np.searchsorted(fi, rest), n - 1)] == rest
-            if hits.any():
-                p2 = int(cands[hits.argmax()])
-                return RepresentationWitness(x=x, p1=p1, p2=p2, p3=t - p2)
+            hits = fi.take(fi.searchsorted(rest), mode="clip") == rest
+            j = int(hits.argmax())
+            if hits[j]:
+                p2 = int(cands[j])
+                if 2 * p2 <= t:
+                    return RepresentationWitness(x=x, p1=p1, p2=p2, p3=t - p2)
+                break
+            if 2 * int(cands[-1]) > t:
+                break
             lo, chunk = lo + chunk, 4 * chunk
     return None
 
@@ -124,21 +129,23 @@ def scan_exceptions(X: int, cache_dir: Optional[str | Path] = None) -> np.ndarra
 def smallest_witnesses(X: int, cache_dir: Optional[str | Path] = None) -> tuple[np.ndarray, np.ndarray]:
     """(p1, p2) of ``find_representation(x)`` for every x = 4m + 3 <= X, indexed by m.
 
-    Both are 0 where x is an exception; p3 = x - p1 - p2.  ``_first_parts``
-    against the FI bitmap gives each two-sum its smallest part, and against
-    the two-sum bitmap each x its smallest p1; p2 is the smallest part of
-    x - p1, gathered from the first sweep.  Every split x - p1 = a + b has
-    a, b >= p1, since p1 is the smallest element of any representation of
-    x, so p1 <= p2 <= p3 holds without being imposed.  40 bytes per index
-    are checked before the FI table is loaded (tracemalloc peak per index at
-    X = 10^4 to 10^7, cache hit: 34.8, 33.8, 33.5, 33.3).
+    Both are 0 where x is an exception; p3 = x - p1 - p2.  ``_covered``,
+    recording first parts, against the FI bitmap gives each two-sum its
+    smallest part, and against the two-sum bitmap each x its smallest p1;
+    p2 is the smallest part of x - p1, gathered from the first sweep.  Every
+    split x - p1 = a + b has a, b >= p1, since p1 is the smallest element of
+    any representation of x, so p1 <= p2 <= p3 holds without being imposed.
+    40 bytes per index are checked before the FI table is loaded
+    (tracemalloc peak per index at X = 10^4 to 10^7, cache hit: 33.7, 32.8,
+    32.5, 32.3).
     """
     in_fi, parts = _fi_bitmap(X, cache_dir, 40)
     n = len(in_fi)
-    m = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
-    s2 = _first_parts(m, parts, in_fi, 2)
-    i1 = _first_parts(m, parts, s2 >= 0, 3)
+    s2, i1 = (np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64) for _ in range(2))
+    _covered(parts, _covered(parts, in_fi, 2, s2), 3, i1)
+    del in_fi
     # x - p1 = 4 (m - i1) + 2; where i1 = -1, m - i1 may be n
+    m = np.arange(n, dtype=s2.dtype)
     i2 = np.where(i1 >= 0, s2[np.minimum(m - i1, n - 1)], -1)
     del m, s2
     # p = 4i + 1 and 0 for i = -1, one array at a time
@@ -158,25 +165,37 @@ def _fi_bitmap(X: int, cache_dir: Optional[str | Path], per_index: int) -> tuple
     return in_fi, np.flatnonzero(in_fi)
 
 
-def _covered(parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+def _covered(parts: np.ndarray, table: np.ndarray, k: int, first: Optional[np.ndarray] = None) -> np.ndarray:
     """Whether table[t - s] for some s in ``parts`` (ascending) with k s <= t,
     for each t in [0, len(table)): exact, from indices and bool lookups.
+    Given ``first`` (len(table) entries of -1), each t's smallest such s is
+    also recorded there.
 
-    The first parts run on aligned bool slices over the whole range.  Once
-    under 1/32 of the targets are open (checked every 8 parts),
-    ``_first_parts`` serves only those, as int32 (int64 from 2^31), from the
-    next part on.
+    The first parts run on aligned bool slices over the whole range; to
+    record, a part marks only the targets it is the first to cover, which
+    takes one more byte per target.  Once under 1/32 of the targets are open
+    (checked every 8 parts), ``_first_parts`` serves only those, as int32
+    (int64 from 2^31), from the next part on.
     """
     n = len(table)
     covered = np.zeros(n, dtype=bool)
     for j, s in enumerate(map(int, parts)):
         if j % 8 == 0 and 32 * (n - np.count_nonzero(covered)) < n:
             break
-        covered[k * s :] |= table[(k - 1) * s : n - s]
+        if first is None:
+            covered[k * s :] |= table[(k - 1) * s : n - s]
+        else:
+            new = table[(k - 1) * s : n - s] > covered[k * s :]  # not yet covered
+            first[k * s :][new] = s
+            covered[k * s :] |= new
     else:
         return covered
     targets = np.flatnonzero(~covered).astype(np.int32 if n < 2**31 else np.int64)
-    covered[targets] = _first_parts(targets, parts[j:], table, k) >= 0
+    if first is None:
+        covered[targets] = _first_parts(targets, parts[j:], table, k) >= 0
+    else:
+        first[targets] = _first_parts(targets, parts[j:], table, k)
+        covered[targets] = first[targets] >= 0
     return covered
 
 

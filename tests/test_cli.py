@@ -428,6 +428,12 @@ def _ints_written(a, sep):
 _DIGIT_EDGES = sorted({0, 2**63 - 1, *(10**k for k in range(19)), *(10**k - 1 for k in range(1, 19))})
 
 
+def test_digit_edges_cover_every_digit_count():
+    # with four digits a cell, each count d = 1 to 19 leaves its own remainder
+    # of leading digits and its own pad in front of the separator
+    assert sorted({len(str(v)) for v in _DIGIT_EDGES}) == list(range(1, 20))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1)), st.sampled_from([", ", "\n"]))
 @example([], ", ")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -103,6 +104,44 @@ def test_is_prime_int_at_the_witness_prefix_bounds():
         is_prime = window_sieve(bound - 999, bound + 1001)
         for n in range(bound - 999, bound + 1001):
             assert P.is_prime_int(n) == is_prime[n - bound + 999], n
+
+
+# strong pseudoprimes to base 2 (2047), to bases 2, 3 (1,373,653), to 2, 3, 5
+# (25,326,001) and to 2, 3, 5, 7 (3,215,031,751), and Carmichael numbers
+@pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001, 3_215_031_751, 561, 41_041, 825_265, 321_197_185])
+def test_is_prime_int_refuses_pseudoprimes_and_carmichael_numbers(n):
+    assert P.factorize(n)[0][0] < n
+    assert not P.is_prime_int(n)
+
+
+def test_is_prime_int_on_powers_of_two_plus_or_minus_one():
+    # 2^k - 1 is prime for the Mersenne exponents k below 64, and 2^k + 1 for
+    # k = 0 and the Fermat primes 2^(2^i) + 1, i <= 4
+    mersenne = {2, 3, 5, 7, 13, 17, 19, 31, 61}
+    fermat = {0, 1, 2, 4, 8, 16}
+    for k in range(65):
+        assert P.is_prime_int(2**k - 1) == (k in mersenne), k
+        assert P.is_prime_int(2**k + 1) == (k in fermat), k
+        if k <= 32:
+            for n in (2**k - 1, 2**k + 1):
+                assert P.is_prime_int(n) == (n > 1 and P.factorize(n) == [(n, 1)]), n
+
+
+def test_is_prime_int_at_and_below_the_witnesses():
+    # every n <= 37 takes the gcd with the witnesses' product, or is 0 or 1
+    assert [n for n in range(38) if P.is_prime_int(n)] == list(P._MR_WITNESSES)
+
+
+def test_sqrt_minus_one_matches_the_two_pow_definition():
+    def two_pow(q):
+        c = 2
+        while q % 8 != 5 and pow(c, (q - 1) // 2, q) != q - 1:
+            c += 1
+        return pow(c, (q - 1) // 4, q)
+
+    qs = [q for q in P.primes_upto(2**20).tolist() if q % 4 == 1]
+    assert len(qs) == 40_952
+    assert [P._sqrt_minus_one(q) for q in qs] == [two_pow(q) for q in qs]
 
 
 def test_fi_decompositions_examples():
@@ -332,6 +371,7 @@ def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypat
     # 1373 = 37^2 + 2^2 the row l = 37 starts, the row sieve's 17,344 bytes
     # pass, and the hits pass 18,192 bytes before the last row
     x = 10**5
+    expected = fi_primes_by_sieve(x)  # its sieve, checked too, runs under the real budget
     rows = list(P._prime_power_rows(x))
     need = P._row_sieve_bytes(x)[1] + 17 * sum(len(primes) for _, primes in rows)
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 18_192)
@@ -342,7 +382,7 @@ def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypat
     # the last row raises before the hits are concatenated
     monkeypatch.setattr(P, "_prime_power_rows", lambda limit: iter(rows))
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", need)
-    assert np.array_equal(P._compute_fi_primes(x), fi_primes_by_sieve(x))
+    assert np.array_equal(P._compute_fi_primes(x), expected)
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", need - 1)
     forbid_alloc()
     with pytest.raises(P.CapacityError):
@@ -357,6 +397,34 @@ def test_weighted_count_over_the_byte_budget_raises_before_allocating(monkeypatc
     forbid_alloc()
     with pytest.raises(P.CapacityError):
         P.fi_weighted_count(10**6)
+
+
+def test_prime_sieve_over_the_byte_budget_raises_before_allocating(forbid_alloc):
+    # LL(2^61) = log 2 times the log l of the decompositions, which would read
+    # the primes to 2^31: a 2 GB sieve, then about 105 M primes as int64
+    forbid_alloc()
+    with pytest.raises(P.CapacityError, match="primes to 2147483648"):
+        P.lambda_lambda(2**61)
+    with pytest.raises(P.CapacityError, match="prime sieve to"):
+        P.simple_sieve(2 * 10**9)
+
+
+def test_prime_sieve_byte_estimates_bound_the_peaks(monkeypatch):
+    # tracemalloc peak of a fresh primes_upto, which sieves, against the
+    # largest estimate checked (primes_upto's own): 0.71 to 0.88 of it
+    checked, real = [], P.check_bytes
+    monkeypatch.setattr(P, "check_bytes", lambda nbytes, what: checked.append(nbytes) or real(nbytes, what))
+    for limit in (10**5, 10**6, 10**7):
+        P.simple_sieve.cache_clear()
+        P.primes_upto.cache_clear()
+        checked.clear()
+        tracemalloc.start()
+        try:
+            P.primes_upto(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == 2 and peak <= max(checked), (limit, peak, checked)
 
 
 FIRST_CALL = """

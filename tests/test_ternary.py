@@ -242,7 +242,7 @@ def test_smallest_witnesses_pinned():
     assert digest == "351ff1c57a6ca6fa742f1f044f95af284fd3c5a4"
 
 
-def test_dense_phase_matches_the_sparse_sweep():
+def test_dense_phase_matches_the_sparse_sweep(monkeypatch):
     # the reference is _first_parts on every target, with no dense phase
     X = 10**6
     in_fi, parts = T._fi_bitmap(X, None, 1)
@@ -250,7 +250,17 @@ def test_dense_phase_matches_the_sparse_sweep():
     first = T._first_parts(targets, parts, in_fi, 2)
     two = T._covered(parts, in_fi, 2)
     assert np.array_equal(two, first >= 0)
-    assert np.array_equal(T._covered(parts, two, 3), T._first_parts(targets, parts, two, 3) >= 0)
+    three = T._first_parts(targets, parts, two, 3)
+    assert np.array_equal(T._covered(parts, two, 3), three >= 0)
+    # recording gives the same first parts, and at both k the dense phase
+    # hands its open targets, under 1/32 of them, to the sparse loop
+    sparse, handed = T._first_parts, []
+    monkeypatch.setattr(T, "_first_parts", lambda t, *args: handed.append(len(t)) or sparse(t, *args))
+    for k, table, expected in ((2, in_fi, first), (3, two, three)):
+        recorded = np.full(len(in_fi), -1, dtype=np.int32)
+        assert np.array_equal(T._covered(parts, table, k, recorded), expected >= 0), k
+        assert np.array_equal(recorded, expected), k
+        assert 0 < handed[-1] < len(in_fi) / 32, k
     # the sweep's cost figures: 30 indices are no two-sum, the largest 4m + 2
     # of them is 7,118, and the largest smallest part is p = 33,721
     assert np.count_nonzero(~two) == 30
@@ -269,6 +279,20 @@ def test_covered_against_double_loop(seed, n, k):
     first = [next((s for s in parts.tolist() if k * s <= t and table[t - s]), -1) for t in range(n)]
     assert T._first_parts(np.arange(n), parts, table, k).tolist() == first
     assert T._covered(parts, table, k).tolist() == [s >= 0 for s in first]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4096), st.sampled_from([0.02, 0.3, 0.7]), st.sampled_from([2, 3]))
+def test_recorded_first_parts_against_the_sparse_sweep(seed, n, density, k):
+    # sparse tables leave the dense phase running to the last part; dense ones
+    # hand the open targets to the sparse loop after a few checks
+    rng = np.random.default_rng(seed)
+    table = rng.random(n) < density
+    parts = np.flatnonzero(rng.random(n) < density)
+    first = T._first_parts(np.arange(n), parts, table, k)
+    recorded = np.full(n, -1, dtype=np.int64)
+    assert T._covered(parts, table, k, recorded).tolist() == (first >= 0).tolist()
+    assert recorded.tolist() == first.tolist()
 
 
 def test_ternary_byte_estimates_bound_the_peaks(monkeypatch, tmp_path):
@@ -301,11 +325,13 @@ def test_ternary_byte_estimates_bound_the_peaks(monkeypatch, tmp_path):
 
 def test_row_sieve_byte_estimates_bound_the_peaks(monkeypatch):
     # each consumer of the row sieve peaks under tracemalloc at most at the
-    # bytes it checks last (0.38 to 0.81 of them at 10^3 to 10^8)
+    # bytes it checks last (0.38 to 0.81 of them at 10^3 to 10^8); the base
+    # sieve's own checks, made inside a build, are part of its estimate
     checked, real = [], P.check_bytes
 
     def check_bytes(nbytes, what):
-        checked.append(nbytes)
+        if not what.startswith(("prime sieve to ", "primes to ")):
+            checked.append(nbytes)
         real(nbytes, what)
 
     monkeypatch.setattr(P, "check_bytes", check_bytes)
