@@ -103,6 +103,9 @@ REFERENCE_H = 2.1564103448531142
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PRODUCT = math.prod(_MR_WITNESSES)
+# the smallest strong pseudoprimes to the first 1, 2, 3 and 4 witnesses: below
+# each, that many witnesses decide (Pomerance, Selfridge and Wagstaff, 1980)
+_MR_BOUNDS = (2047, 1_373_653, 25_326_001, 3_215_031_751)
 
 
 @lru_cache(maxsize=32)
@@ -184,8 +187,9 @@ def euler_phi(n: int) -> int:
 def is_prime_int(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 3.3e24.
 
-    Trial division by the witnesses is one gcd with their product, and
-    n - 1 = d 2^r is split at its lowest set bit."""
+    Trial division by the witnesses is one gcd with their product,
+    n - 1 = d 2^r is split at its lowest set bit, and below each bound of
+    ``_MR_BOUNDS`` only a prefix of the witnesses is tried."""
     if n < 2:
         return False
     if math.gcd(n, _MR_PRODUCT) != 1:
@@ -193,8 +197,7 @@ def is_prime_int(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    # the smallest strong pseudoprimes to bases (2, 3, 5) and (2, 3, 5, 7)
-    k = 3 if n < 25_326_001 else 4 if n < 3_215_031_751 else len(_MR_WITNESSES)
+    k = bisect.bisect_right(_MR_BOUNDS, n) + 1 if n < _MR_BOUNDS[-1] else len(_MR_WITNESSES)
     for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
