@@ -34,6 +34,17 @@ def test_witness_revalidation():
             assert w.validate(), x
 
 
+def test_witness_revalidation_reads_no_table(monkeypatch, forbid_alloc):
+    # validate() re-checks each part by Miller-Rabin and the two-squares step
+    # alone: no prime table is read and no numpy array allocated
+    fi = fi_primes_upto(10**5)
+    witnesses = [T.find_representation(x, fi, 10**5) for x in range(99_903, 10**5, 4)]
+    for name in ("simple_sieve", "primes_upto", "fi_primes_upto"):
+        monkeypatch.setattr(P, name, None)
+    forbid_alloc()
+    assert len(witnesses) == 25 and all(w.validate() for w in witnesses)
+
+
 def test_witness_with_non_fi_prime_rejected():
     # 17 is a prime = 1 (4), but 17 = 1 + 16 is its only sum of two squares
     assert not T.RepresentationWitness(27, 5, 5, 17).validate()
