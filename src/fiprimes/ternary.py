@@ -5,14 +5,14 @@ here confirm that beyond a small threshold every x = 3 (4) in range is such
 a sum, enumerate the exceptions, and list three-term arithmetic progressions
 inside the FI primes.  The scan indexes an FI prime p = 4i + 1 by i, so a
 sum of two FI primes is 4m + 2 and a sum of three is 4m + 3 with m the sum
-of their indices.  The exception scan to X builds bitmaps only, over about
-X/4 indices: the FI bitmap gives the two-sum bitmap, and that the three-sum
-bitmap.  The witnesses keep first parts: a sweep of the FI primes in
-increasing order against the two-sum bitmap gives each x its smallest p1,
-since had x - p1 = a + b with a < p1, a would have resolved x earlier; the
-same sweep against the FI bitmap gives each two-sum its smallest part, and
-gathering that at x - p1 gives p2: the witness of the point query
-``find_representation``, which binary-searches the sorted table instead.
+of their indices.  The exception scan to X builds bit-packed bitmaps only,
+over about X/4 indices: the FI bitmap gives the two-sum bitmap, and that
+the three-sum bitmap.  The witnesses keep first parts: a sweep of the FI
+primes in increasing order against the two-sum bitmap gives each x its
+smallest p1, since had x - p1 = a + b with a < p1, a would have resolved x
+earlier; the same sweep against the FI bitmap gives each two-sum its
+smallest part, and gathering that at x - p1 gives p2: the witness of the
+point query ``find_representation``, which binary-searches the sorted table.
 
 The W-tricked sequence normalises LL on a residue class b mod W so its mean
 is 1, and the L^q moments of its exponential sum are estimated on a dense
@@ -116,14 +116,14 @@ def _smallest_witness(x: int, fi: np.ndarray) -> Optional[RepresentationWitness]
 def scan_exceptions(X: int, cache_dir: Optional[str | Path] = None) -> np.ndarray:
     """All x = 3 (4), x <= X, that are not a sum of three FI primes.
 
-    With M = (X - 3) // 4, ``_covered`` on the FI bitmap on [0, M] (k = 2)
+    ``_covered`` on the FI bitmap of the n = (X + 1) // 4 indices (k = 2)
     gives the two-sum bitmap, and on that (k = 3) the m with 4m + 3 a sum of
-    three.  Only bitmaps are built: 6 bytes per index are checked before
-    the FI table is loaded (tracemalloc peak per index at X = 10^4 to 10^8,
-    cache hit: 5.91, 4.76, 4.48, 4.34, 4.25).
+    three; only the exceptions are unpacked.  3 bytes an index and 16 KB are
+    checked before the FI table is loaded, so X stops near 2.67e9 (tracemalloc
+    peak per index, cache hit, X = 10^4 to 10^8: 5.20, 2.97, 2.02, 1.84, 1.75).
     """
-    in_fi, parts = _fi_bitmap(X, cache_dir, 6)
-    return 4 * np.flatnonzero(~_covered(parts, _covered(parts, in_fi, 2), 3)) + 3
+    bits, parts, n = _fi_bitmap(X, cache_dir, 3)
+    return 4 * np.sort(_set_bits(~_covered(parts, _covered(parts, bits, n, 2), n, 3))) + 3
 
 
 def smallest_witnesses(X: int, cache_dir: Optional[str | Path] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -135,73 +135,87 @@ def smallest_witnesses(X: int, cache_dir: Optional[str | Path] = None) -> tuple[
     p2 is the smallest part of x - p1, gathered from the first sweep.  Every
     split x - p1 = a + b has a, b >= p1, since p1 is the smallest element of
     any representation of x, so p1 <= p2 <= p3 holds without being imposed.
-    40 bytes per index are checked before the FI table is loaded
-    (tracemalloc peak per index at X = 10^4 to 10^7, cache hit: 33.7, 32.8,
-    32.5, 32.3).
+    34 bytes an index and 16 KB are checked before the FI table is loaded
+    (tracemalloc, cache hit, per index at 10^4 to 10^7: 33.9, 32.9, 32.6, 32.5).
     """
-    in_fi, parts = _fi_bitmap(X, cache_dir, 40)
-    n = len(in_fi)
+    bits, parts, n = _fi_bitmap(X, cache_dir, 34)
     s2, i1 = (np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64) for _ in range(2))
-    _covered(parts, _covered(parts, in_fi, 2, s2), 3, i1)
-    del in_fi
+    _covered(parts, _covered(parts, bits, n, 2, s2), n, 3, i1)
     # x - p1 = 4 (m - i1) + 2; where i1 = -1, m - i1 may be n
-    m = np.arange(n, dtype=s2.dtype)
-    i2 = np.where(i1 >= 0, s2[np.minimum(m - i1, n - 1)], -1)
-    del m, s2
+    i2 = np.where(i1 >= 0, s2[np.minimum(np.arange(n, dtype=s2.dtype) - i1, n - 1)], -1)
+    del s2
     # p = 4i + 1 and 0 for i = -1, one array at a time
     return tuple(np.maximum(4 * i.astype(np.int64) + 1, 0) for i in (i1, i2))
 
 
-def _fi_bitmap(X: int, cache_dir: Optional[str | Path], per_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(in_fi, its set indices) over the indices (p - 1) / 4 <= M = (X - 3) // 4 of
-    ``fi_primes_upto(X, cache_dir)``, loaded once ``per_index`` bytes an index are checked."""
+def _fi_bitmap(X: int, cache_dir: Optional[str | Path], per_index: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(bits, parts, n): the indices (p - 1) / 4 < n = (X + 1) // 4 of
+    ``fi_primes_upto(X, cache_dir)`` as a bitmap (bit t at bit t & 7 of byte
+    t >> 3, padded to whole 64-bit words) and ascending, loaded once
+    ``per_index`` bytes an index and 16 KB for a pass's objects are checked."""
     if X < 3:
         raise ValueError("X must be >= 3")
-    M = (X - 3) // 4
-    check_bytes(per_index * (M + 1), f"ternary scan to {X}")
-    idx = fi_primes_upto(X, cache_dir) >> 2
-    in_fi = np.zeros(M + 1, dtype=bool)
-    in_fi[idx[idx <= M]] = True
-    return in_fi, np.flatnonzero(in_fi)
+    n = (X + 1) // 4
+    check_bytes(per_index * n + 16384, f"ternary scan to {X}")
+    parts = fi_primes_upto(X, cache_dir) >> 2
+    parts = parts[parts < n]
+    bits = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
+    np.bitwise_or.at(bits, parts >> 3, np.left_shift(1, parts & 7).astype(np.uint8))
+    return bits, parts, n
 
 
-def _covered(parts: np.ndarray, table: np.ndarray, k: int, first: Optional[np.ndarray] = None) -> np.ndarray:
-    """Whether table[t - s] for some s in ``parts`` (ascending) with k s <= t,
-    for each t in [0, len(table)): exact, from indices and bool lookups.
-    Given ``first`` (len(table) entries of -1), each t's smallest such s is
-    also recorded there.
+def _set_bits(bits: np.ndarray) -> np.ndarray:
+    """A bitmap's set bits, unordered: each non-zero word's lowest, then its next."""
+    at = np.flatnonzero(bits.view("<u8"))
+    w, found = bits.view("<u8")[at], [at[:0]]
+    while len(at):
+        found.append(64 * at + np.frexp(w & -w)[1] - 1)
+        w &= w - 1  # clears the lowest set bit
+        at, w = at[w != 0], w[w != 0]
+    return np.concatenate(found)
 
-    The first parts run on aligned bool slices over the whole range; to
-    record, a part marks only the targets it is the first to cover, which
-    takes one more byte per target.  Once under 1/32 of the targets are open
-    (checked every 8 parts), ``_first_parts`` serves only those, as int32
-    (int64 from 2^31), from the next part on.
+
+def _covered(parts: np.ndarray, table: np.ndarray, n: int, k: int, first: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bitmap of the t in [0, n) with table bit t - s set for some s in
+    ``parts`` (ascending) with k s <= t, padding set, for ``table`` the
+    bitmap of ``parts`` (k = 2) or its two-sum bitmap (k = 3).  Given
+    ``first`` (n entries of -1), each t's smallest such s is also recorded.
+
+    That s has k s <= t unasked: were t = s + u, u < (k - 1) s, the smallest
+    part a < s of u would reach t first (t - a = s, or b + s).  So part
+    s = 8a + r ORs the table's bit-shifted copy r into the bitmap from byte
+    a, over n/8 bytes, and lists the bits it sets first to record them.
+    Under n/1024 open 64-bit words (checked every 8 parts), ``_first_parts``
+    serves their open targets, as int32 (int64 from 2^31), from the next part.
     """
-    n = len(table)
-    covered = np.zeros(n, dtype=bool)
+    nb = len(table)
+    shifted = np.zeros((8, nb + 8), dtype=np.uint8)  # bit 64 + t of row r is table bit t - r
+    for r in range(8):
+        np.left_shift(table, r, out=shifted[r, 8:])
+        shifted[r, 9:] |= table[:-1] >> (8 - r)
+    covered = np.zeros(nb, dtype=np.uint8)
+    covered.view("<u8")[-1:] = (-1 << (n % 64 or 64)) % 2**64  # no target from n on
     for j, s in enumerate(map(int, parts)):
-        if j % 8 == 0 and 32 * (n - np.count_nonzero(covered)) < n:
+        if j % 8 == 0 and 1024 * np.count_nonzero(~covered.view(np.uint64)) < n:
             break
-        if first is None:
-            covered[k * s :] |= table[(k - 1) * s : n - s]
-        else:
-            new = table[(k - 1) * s : n - s] > covered[k * s :]  # not yet covered
-            first[k * s :][new] = s
-            covered[k * s :] |= new
+        a = s >> 3 & ~7  # from the word that holds bit s
+        row = shifted[s & 7, 8 + a - (s >> 3) : 8 + nb - (s >> 3)]
+        if first is not None:
+            first[8 * a + _set_bits(row & ~covered[a:])] = s
+        covered[a:] |= row
     else:
         return covered
-    targets = np.flatnonzero(~covered).astype(np.int32 if n < 2**31 else np.int64)
-    if first is None:
-        covered[targets] = _first_parts(targets, parts[j:], table, k) >= 0
-    else:
-        first[targets] = _first_parts(targets, parts[j:], table, k)
-        covered[targets] = first[targets] >= 0
+    targets = np.sort(_set_bits(~covered)).astype(np.int32 if n < 2**31 else np.int64)
+    found = _first_parts(targets, parts[j:], table, k)
+    if first is not None:
+        first[targets] = found
+    np.bitwise_or.at(covered, targets >> 3, np.left_shift(found >= 0, targets & 7).astype(np.uint8))
     return covered
 
 
 def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     """For each entry t of ``targets`` (ascending), the smallest s in
-    ``parts`` (ascending) with k s <= t and table[t - s], or -1 if none.
+    ``parts`` (ascending) with k s <= t and bit t - s of ``table``, or -1.
 
     Each step reads only the open targets, with their positions, and drops
     those below k s, since no later part can serve them.  Its cost has no a
@@ -217,9 +231,10 @@ def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: i
         targets, at = targets[lo:], at[lo:]
         if not len(targets):
             break
-        hit = table[targets - s]
-        first[at[hit]] = s
-        targets, at = targets[~hit], at[~hit]
+        i = targets - s
+        miss = (table[i >> 3] >> (i & 7) & 1) == 0
+        first[at[~miss]] = s
+        targets, at = targets[miss], at[miss]
     return first
 
 

@@ -126,8 +126,8 @@ def test_verify_ternary_over_the_byte_budget_exits_1(capsys, monkeypatch):
 
 
 def test_verify_ternary_refuses_before_loading_the_table(capsys, monkeypatch, tmp_path):
-    # 6 bytes for each of the 7.5e8 indices are over the budget: refused
-    # before the FI table to 3e9 is built or its cache written
+    # 3 bytes for each of the 7.5e8 indices, plus 16 KB, are over the budget:
+    # refused before the FI table to 3e9 is built or its cache written
     from fiprimes import ternary
 
     def no_table(*args):
@@ -139,7 +139,7 @@ def test_verify_ternary_refuses_before_loading_the_table(capsys, monkeypatch, tm
         m.setattr(ternary, "fi_primes_upto", no_table)
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ternary scan to 3000000000 needs 4500000000 bytes")
+    assert err.startswith("error: ternary scan to 3000000000 needs 2250016384 bytes")
     assert run_cli(capsys, *argv)[0] == 1
     assert not cache.exists()
 

@@ -189,9 +189,9 @@ def test_exceptions_monotone():
 
 
 def test_exception_strategies_agree():
-    swept = T.scan_exceptions(2 * 10**4)
-    direct = T.scan_exceptions_direct(2 * 10**4)
-    assert np.array_equal(swept, direct)
+    # X to 300 ends the index range at every bit of the first word and into the second
+    for X in [*range(3, 301), 2 * 10**4]:
+        assert np.array_equal(T.scan_exceptions(X), T.scan_exceptions_direct(X)), X
 
 
 def test_exceptions_against_triple_loop():
@@ -253,56 +253,105 @@ def test_smallest_witnesses_pinned():
     assert digest == "351ff1c57a6ca6fa742f1f044f95af284fd3c5a4"
 
 
-def test_dense_phase_matches_the_sparse_sweep(monkeypatch):
-    # the reference is _first_parts on every target, with no dense phase
-    X = 10**6
-    in_fi, parts = T._fi_bitmap(X, None, 1)
-    targets = np.arange(len(in_fi))
-    first = T._first_parts(targets, parts, in_fi, 2)
-    two = T._covered(parts, in_fi, 2)
-    assert np.array_equal(two, first >= 0)
-    three = T._first_parts(targets, parts, two, 3)
-    assert np.array_equal(T._covered(parts, two, 3), three >= 0)
-    # recording gives the same first parts, and at both k the dense phase
-    # hands its open targets, under 1/32 of them, to the sparse loop
+def _pack(flags):
+    # a bool array as the scan's bitmaps: little bit order, whole 64-bit words
+    return np.packbits(np.concatenate([flags, np.zeros(-len(flags) % 64, dtype=bool)]), bitorder="little")
+
+
+def _unpack(bits, n):
+    return np.unpackbits(bits, bitorder="little")[:n].astype(bool)
+
+
+def _table(parts, n, k):
+    # what _covered reads at k: the bitmap of the parts (k = 2), or their
+    # two-sums t = s + u with s <= u (k = 3), as flags
+    fi = np.zeros(n, dtype=bool)
+    fi[parts] = True
+    if k == 3:
+        fi = np.array(_double_loop(parts, fi, 2)) >= 0
+    return fi
+
+
+def _double_loop(parts, table, k):
+    return [next((s for s in parts.tolist() if k * s <= t and table[t - s]), -1) for t in range(len(table))]
+
+
+def _sweeps_against_the_sparse_loop(X, monkeypatch):
+    # the reference is _first_parts on every target, with no dense phase; at
+    # both k, scanning and recording, the packed sweep gives the same bitmap
+    # and first parts, and hands its open targets, which lie in under n/1024
+    # of the 64-bit words, to the sparse loop
+    bits, parts, n = T._fi_bitmap(X, None, 1)
     sparse, handed = T._first_parts, []
-    monkeypatch.setattr(T, "_first_parts", lambda t, *args: handed.append(len(t)) or sparse(t, *args))
-    for k, table, expected in ((2, in_fi, first), (3, two, three)):
-        recorded = np.full(len(in_fi), -1, dtype=np.int32)
-        assert np.array_equal(T._covered(parts, table, k, recorded), expected >= 0), k
+    monkeypatch.setattr(T, "_first_parts", lambda t, *args: handed.append(t) or sparse(t, *args))
+    table, firsts = bits, []
+    for k in (2, 3):
+        expected = sparse(np.arange(n), parts, table, k)
+        recorded = np.full(n, -1, dtype=np.int32)
+        for first in (None, recorded):
+            covered = T._covered(parts, table, n, k, first)
+            assert np.array_equal(_unpack(covered, n), expected >= 0), k
+            assert 0 < len(np.unique(handed[-1] >> 6)) < n / 1024, k
         assert np.array_equal(recorded, expected), k
-        assert 0 < handed[-1] < len(in_fi) / 32, k
-    # the sweep's cost figures: 30 indices are no two-sum, the largest 4m + 2
-    # of them is 7,118, and the largest smallest part is p = 33,721
-    assert np.count_nonzero(~two) == 30
-    assert 4 * np.flatnonzero(~two)[-1] + 2 == 7118
+        table = covered
+        firsts.append(expected)
+    return firsts
+
+
+def test_dense_phase_matches_the_sparse_sweep(monkeypatch):
+    # at 10^6 and at the benchmark's verify-ternary limit, 4e6
+    for X in (4 * 10**6, 10**6):
+        first, three = _sweeps_against_the_sparse_loop(X, monkeypatch)
+        assert list(4 * np.flatnonzero(three < 0) + 3) == [3, 7, 11, 19, 27, 35, 43], X
+    # the sweep's cost figures at 10^6: 30 indices are no two-sum, the largest
+    # 4m + 2 of them is 7,118, and the largest smallest part is p = 33,721
+    assert np.count_nonzero(first < 0) == 30
+    assert 4 * np.flatnonzero(first < 0)[-1] + 2 == 7118
     assert 4 * first.max() + 1 == 33721
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_covered_bit_edges_against_double_loop(k):
+    # every n mod 8 and every n < 8; the dense parts and the diagonal ones
+    # (s = 0, 9, 18, ..., 63, 64, 73) each hold every s mod 8 once n > 73, so
+    # every bit-shifted copy is read, from every byte offset
+    for n in range(1, 81):
+        for parts in (np.flatnonzero(np.arange(n) % 3 != 1), np.flatnonzero(np.arange(n) % 8 == np.arange(n) // 8 % 8)):
+            table = _table(parts, n, k)
+            first = _double_loop(parts, table, k)
+            recorded = np.full(n, -1, dtype=np.int64)
+            for out in (None, recorded):
+                covered = T._covered(parts, _pack(table), n, k, out)
+                assert _unpack(covered, n).tolist() == [s >= 0 for s in first], (n, k)
+                assert np.unpackbits(covered, bitorder="little")[n:].all(), (n, k)  # the padding
+            assert recorded.tolist() == first, (n, k)
+            assert T._first_parts(np.arange(n), parts, _pack(table), k).tolist() == first, (n, k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1024, 4096), st.sampled_from([2, 3]))
 def test_covered_against_double_loop(seed, n, k):
-    # with about 30% of the table and of the indices as parts, the open set
-    # falls under n/32 after a few checks and the sparse loop serves the rest
+    # with about 30% of the indices as parts, the open set falls under n/1024
+    # words after a few checks and the sparse loop serves the rest
     rng = np.random.default_rng(seed)
-    table = rng.random(n) < 0.3
     parts = np.flatnonzero(rng.random(n) < 0.3)
-    first = [next((s for s in parts.tolist() if k * s <= t and table[t - s]), -1) for t in range(n)]
-    assert T._first_parts(np.arange(n), parts, table, k).tolist() == first
-    assert T._covered(parts, table, k).tolist() == [s >= 0 for s in first]
+    table = _table(parts, n, k)
+    first = _double_loop(parts, table, k)
+    assert T._first_parts(np.arange(n), parts, _pack(table), k).tolist() == first
+    assert _unpack(T._covered(parts, _pack(table), n, k), n).tolist() == [s >= 0 for s in first]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4096), st.sampled_from([0.02, 0.3, 0.7]), st.sampled_from([2, 3]))
 def test_recorded_first_parts_against_the_sparse_sweep(seed, n, density, k):
-    # sparse tables leave the dense phase running to the last part; dense ones
+    # sparse parts leave the dense phase running to the last part; dense ones
     # hand the open targets to the sparse loop after a few checks
     rng = np.random.default_rng(seed)
-    table = rng.random(n) < density
     parts = np.flatnonzero(rng.random(n) < density)
+    table = _pack(_table(parts, n, k))
     first = T._first_parts(np.arange(n), parts, table, k)
     recorded = np.full(n, -1, dtype=np.int64)
-    assert T._covered(parts, table, k, recorded).tolist() == (first >= 0).tolist()
+    assert _unpack(T._covered(parts, table, n, k, recorded), n).tolist() == (first >= 0).tolist()
     assert recorded.tolist() == first.tolist()
 
 
@@ -376,15 +425,16 @@ def test_row_sieve_refuses_a_huge_x_before_listing_its_rows():
 
 
 def test_ternary_scan_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc, tmp_path):
-    # 6 bytes per index m in [0, M], M = (X - 3) // 4, for scan_exceptions and
-    # 40 for smallest_witnesses: X = 1023 has M + 1 = 256 indices, X = 1027 one
-    # more.  The table is a cache hit, since its own estimate is over 6 * 256 bytes.
+    # 3 bytes per index m in [0, M], M = (X - 3) // 4, for scan_exceptions and
+    # 34 for smallest_witnesses, plus 16 KB: X = 1023 has M + 1 = 256 indices,
+    # X = 1027 one more.  The table is cached before the budget is lowered, so
+    # the scans read it as a cache hit.
     fi_primes_upto(1027, cache_dir=tmp_path)
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 6 * 256)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 3 * 256 + 16384)
     assert list(T.scan_exceptions(1023, tmp_path)) == [3, 7, 11, 19, 27, 35, 43]
     with pytest.raises(P.CapacityError):
         T.scan_exceptions(1027, tmp_path)
-    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 40 * 256)
+    monkeypatch.setattr(P, "MAX_TABLE_BYTES", 34 * 256 + 16384)
     T.smallest_witnesses(1023, tmp_path)
     with pytest.raises(P.CapacityError):
         T.smallest_witnesses(1027, tmp_path)
