@@ -167,9 +167,9 @@ def _fi_bitmap(X: int, cache_dir: Optional[str | Path], per_index: int) -> tuple
 def _set_bits(bits: np.ndarray) -> np.ndarray:
     """A bitmap's set bits, unordered: each non-zero word's lowest, then its next."""
     at = np.flatnonzero(bits.view("<u8"))
-    w, found = bits.view("<u8")[at], [at[:0]]
+    w, found, at = bits.view("<u8")[at], [at[:0]], 64 * at - 1  # frexp numbers bit b as b + 1
     while len(at):
-        found.append(64 * at + np.frexp(w & -w)[1] - 1)
+        found.append(at + np.frexp(w & -w)[1])
         w &= w - 1  # clears the lowest set bit
         at, w = at[w != 0], w[w != 0]
     return np.concatenate(found)

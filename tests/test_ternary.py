@@ -325,19 +325,26 @@ def test_covered_bit_edges_against_double_loop(k):
                 assert _unpack(covered, n).tolist() == [s >= 0 for s in first], (n, k)
                 assert np.unpackbits(covered, bitorder="little")[n:].all(), (n, k)  # the padding
             assert recorded.tolist() == first, (n, k)
-            assert T._first_parts(np.arange(n), parts, _pack(table), k).tolist() == first, (n, k)
+            # _first_parts keeps its guard k s <= t, so it is read on a table
+            # drawn apart from the parts as well
+            other = np.random.default_rng(n).random(n) < 0.3
+            for tab in (table, other):
+                assert T._first_parts(np.arange(n), parts, _pack(tab), k).tolist() == _double_loop(parts, tab, k), (n, k)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1024, 4096), st.sampled_from([2, 3]))
 def test_covered_against_double_loop(seed, n, k):
-    # with about 30% of the indices as parts, the open set falls under n/1024
+    # _first_parts on any table, here one drawn apart from the parts; _covered
+    # on the table it is given, the parts' bitmap or their two-sum bitmap.
+    # With about 30% of the indices as parts, the open set falls under n/1024
     # words after a few checks and the sparse loop serves the rest
     rng = np.random.default_rng(seed)
+    table = rng.random(n) < 0.3
     parts = np.flatnonzero(rng.random(n) < 0.3)
+    assert T._first_parts(np.arange(n), parts, _pack(table), k).tolist() == _double_loop(parts, table, k)
     table = _table(parts, n, k)
     first = _double_loop(parts, table, k)
-    assert T._first_parts(np.arange(n), parts, _pack(table), k).tolist() == first
     assert _unpack(T._covered(parts, _pack(table), n, k), n).tolist() == [s >= 0 for s in first]
 
 
