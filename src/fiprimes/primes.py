@@ -185,16 +185,22 @@ def euler_phi(n: int) -> int:
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24.
+    """Deterministic Miller-Rabin, exact for all n < 3.3e24 (``_miller_rabin``)."""
+    return _miller_rabin(n) is not None
 
-    Trial division by the witnesses is one gcd with their product,
-    n - 1 = d 2^r is split at its lowest set bit, and below each bound of
-    ``_MR_BOUNDS`` only a prefix of the witnesses is tried."""
+
+def _miller_rabin(n: int) -> Optional[int]:
+    """None unless n is prime, and then a root of -1 mod n, or 0.  Trial
+    division by the witnesses is one gcd with their product, n - 1 = d 2^r
+    is split at its lowest set bit, and below each bound of ``_MR_BOUNDS``
+    only a prefix of the witnesses is tried.  A chain that reaches n - 1
+    after a squaring has just squared a root of -1, as does the chain of
+    every witness that is a non-residue of a prime n = 1 (4)."""
     if n < 2:
-        return False
+        return None
     if math.gcd(n, _MR_PRODUCT) != 1:
-        return n in _MR_WITNESSES
-    d = n - 1
+        return 0 if n in _MR_WITNESSES else None
+    d, root = n - 1, 0
     r = (d & -d).bit_length() - 1
     d >>= r
     k = bisect.bisect_right(_MR_BOUNDS, n) + 1 if n < _MR_BOUNDS[-1] else len(_MR_WITNESSES)
@@ -203,12 +209,13 @@ def is_prime_int(n: int) -> bool:
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
-            x = x * x % n
+            x, y = x * x % n, x
             if x == n - 1:
+                root = y
                 break
         else:
-            return False
-    return True
+            return None
+    return root
 
 
 def mangoldt(n: int) -> float:
@@ -348,21 +355,23 @@ def is_fi_prime(p: int) -> bool:
     """True iff p is prime and has a representation k^2 + l^2, l prime, k >= 1.
 
     A prime p = 1 (mod 4) is a^2 + b^2 with a > b > 0 in exactly one way,
-    so it is an FI prime iff a or b is prime.  A prime p = 3 (mod 4) is no
-    sum of two squares, and 2 = 1 + 1 has no prime part.
+    so it is an FI prime iff a or b is prime (``_two_squares`` starts from the
+    root of -1 that the test of p passed, if any).  A prime p = 3 (mod 4) is
+    no sum of two squares, and 2 = 1 + 1 has no prime part.
     """
-    if p % 4 != 1 or not is_prime_int(p):
+    if p % 4 != 1 or (root := _miller_rabin(p)) is None:
         return False
-    a, b = _two_squares(p)
+    a, b = _two_squares(p, root)
     return is_prime_int(a) or is_prime_int(b)
 
 
-def _two_squares(p: int) -> tuple[int, int]:
+def _two_squares(p: int, s: int = 0) -> tuple[int, int]:
     """(a, b), a >= b >= 1, with a^2 + b^2 = p, for p = 2 or a prime p = 1 (4):
-    a is the first remainder below sqrt(p) of Euclid's algorithm on p and a
-    root of s^2 = -1 (mod p) (s = 1 for p = 2); Brillhart, Math. Comp. 26, 1972."""
+    a is the first remainder below sqrt(p) of Euclid's algorithm on p and
+    either root s of s^2 = -1 (mod p), ``_sqrt_minus_one(p)`` if s = 0 is
+    given (s = 1 for p = 2); Brillhart, Math. Comp. 26, 1972."""
     root = math.isqrt(p)
-    a, b = p, _sqrt_minus_one(p)
+    a, b = p, s or _sqrt_minus_one(p)
     while b > root:
         a, b = b, a % b
     return b, math.isqrt(p - b * b)

@@ -13,6 +13,7 @@ smallest p1, since had x - p1 = a + b with a < p1, a would have resolved x
 earlier; the same sweep against the FI bitmap gives each two-sum its
 smallest part, and gathering that at x - p1 gives p2: the witness of the
 point query ``find_representation``, which binary-searches the sorted table.
+A sweep ORs in one part at a time, then reads blocks of parts at once.
 
 The W-tricked sequence normalises LL on a residue class b mod W so its mean
 is 1, and the L^q moments of its exponential sum are estimated on a dense
@@ -214,27 +215,32 @@ def _covered(parts: np.ndarray, table: np.ndarray, n: int, k: int, first: Option
 
 
 def _first_parts(targets: np.ndarray, parts: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
-    """For each entry t of ``targets`` (ascending), the smallest s in
-    ``parts`` (ascending) with k s <= t and bit t - s of ``table``, or -1.
+    """For each entry t of ``targets`` (ascending), the smallest s in ``parts``
+    (ascending, below 8 len(table)) with k s <= t and bit t - s of ``table``, or -1.
 
-    Each step reads only the open targets, with their positions, and drops
-    those below k s, since no later part can serve them.  Its cost has no a
-    priori bound: a target t that no part serves is read for every part up
-    to t / k.  For k = 2 on the FI bitmap to X = 10^7 and 10^8, 30 indices
-    are no two-sum (the largest 4m + 2 is 7,118), and the largest smallest
-    part is p = 63,901 and 107,197 (33,721 at 10^6).
+    A block of parts is read against all open targets at once, and each
+    target served takes its first part there; the targets below k s, s the
+    block's first part, are dropped first, since no later part serves them.
+    A block has at most len(table) / 8 cells (parts times targets, about
+    n/64 for n bits) or one part, and at most about 13 bytes a cell at once
+    for int32 targets, 27 for int64 (tracemalloc): under half a byte an index.
     """
     first = np.full(len(targets), -1, dtype=targets.dtype)
     at = np.arange(len(targets), dtype=targets.dtype)
-    for s in map(int, parts):
-        lo = np.searchsorted(targets, k * s)
+    j = 0
+    while j < len(parts):
+        lo = np.searchsorted(targets, k * int(parts[j]))
         targets, at = targets[lo:], at[lo:]
         if not len(targets):
             break
-        i = targets - s
-        miss = (table[i >> 3] >> (i & 7) & 1) == 0
-        first[at[~miss]] = s
-        targets, at = targets[miss], at[miss]
+        s = parts[j : j + max(1, len(table) // 8 // len(targets)), None].astype(targets.dtype)
+        j += len(s)
+        i = targets - s  # negative only where k s > t, which the guard drops
+        hit = (table[i >> 3] >> (i & 7).astype(np.uint8) & 1).view(bool) & (s <= targets // k)
+        row = hit.argmax(axis=0)
+        served = hit[row, np.arange(len(targets))]
+        first[at[served]] = s[row[served], 0]
+        targets, at = targets[~served], at[~served]
     return first
 
 

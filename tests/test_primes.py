@@ -144,6 +144,38 @@ def test_sqrt_minus_one_matches_the_two_pow_definition():
     assert [P._sqrt_minus_one(q) for q in qs] == [two_pow(q) for q in qs]
 
 
+def test_miller_rabin_roots_start_two_squares(rng):
+    # every prime p = 1 (4) below 2e5 and 2,000 drawn below 1e12: a root r
+    # from the test squares to -1 and gives the pair of _sqrt_minus_one's
+    roots = [(p, P._miller_rabin(p)) for p in P.primes_upto(2 * 10**5).tolist() if p % 4 == 1]
+    drawn = 0
+    while drawn < 2000:
+        n = 4 * int(rng.integers(10**11, 25 * 10**10)) + 1
+        if (r := P._miller_rabin(n)) is not None:
+            roots.append((n, r))
+            drawn += 1
+    for p, r in roots:
+        if r:
+            assert r * r % p == p - 1, p
+            assert sorted(P._two_squares(p, r)) == sorted(P._two_squares(p)), p
+    # a non-residue witness gives a root, so the fallback is rare
+    assert sum(r > 0 for _, r in roots) > 0.9 * len(roots)
+
+
+def test_two_squares_falls_back_when_no_witness_gives_a_root(monkeypatch):
+    # past the witnesses, the first prime p whose every witness has a^d = +-1,
+    # and the next prime with a root: only p takes _sqrt_minus_one
+    ps = [q for q in range(41, 10**4, 4) if P._miller_rabin(q) is not None]
+    p = next(q for q in ps if P._miller_rabin(q) == 0)
+    q = next(q for q in ps if q > p and P._miller_rabin(q))
+    calls, real = [], P._sqrt_minus_one
+    monkeypatch.setattr(P, "_sqrt_minus_one", lambda q: calls.append(q) or real(q))
+    for n in (p, q):
+        a = next(a for a in range(math.isqrt(n), 0, -1) if math.isqrt(n - a * a) ** 2 == n - a * a)
+        assert P.is_fi_prime(n) == (P.is_prime_int(a) or P.is_prime_int(math.isqrt(n - a * a))), n
+    assert calls == [p]
+
+
 def test_fi_decompositions_examples():
     assert [(d.k, d.l) for d in P.fi_decompositions(13)] == [(3, 2), (2, 3)]
     assert P.fi_decompositions(17) == []

@@ -276,17 +276,41 @@ def _double_loop(parts, table, k):
     return [next((s for s in parts.tolist() if k * s <= t and table[t - s]), -1) for t in range(len(table))]
 
 
+def _sequential_first_parts(targets, parts, table, k):
+    # oracle for _first_parts: one part at a time against the open targets
+    first = np.full(len(targets), -1, dtype=targets.dtype)
+    at = np.arange(len(targets), dtype=targets.dtype)
+    for s in map(int, parts):
+        lo = np.searchsorted(targets, k * s)
+        targets, at = targets[lo:], at[lo:]
+        if not len(targets):
+            break
+        i = targets - s
+        miss = (table[i >> 3] >> (i & 7) & 1) == 0
+        first[at[~miss]] = s
+        targets, at = targets[miss], at[miss]
+    return first
+
+
 def _sweeps_against_the_sparse_loop(X, monkeypatch):
-    # the reference is _first_parts on every target, with no dense phase; at
-    # both k, scanning and recording, the packed sweep gives the same bitmap
-    # and first parts, and hands its open targets, which lie in under n/1024
-    # of the 64-bit words, to the sparse loop
+    # the reference is the sequential loop on every target, with no dense
+    # phase; at both k, scanning and recording, the packed sweep gives the
+    # same bitmap and first parts, and hands its open targets, which lie in
+    # under n/1024 of the 64-bit words, to _first_parts, whose blocks give
+    # what the sequential loop gives on them
     bits, parts, n = T._fi_bitmap(X, None, 1)
     sparse, handed = T._first_parts, []
-    monkeypatch.setattr(T, "_first_parts", lambda t, *args: handed.append(t) or sparse(t, *args))
+
+    def compared(targets, *args):
+        found = sparse(targets, *args)
+        assert np.array_equal(found, _sequential_first_parts(targets, *args))
+        handed.append(targets)
+        return found
+
+    monkeypatch.setattr(T, "_first_parts", compared)
     table, firsts = bits, []
     for k in (2, 3):
-        expected = sparse(np.arange(n), parts, table, k)
+        expected = _sequential_first_parts(np.arange(n), parts, table, k)
         recorded = np.full(n, -1, dtype=np.int32)
         for first in (None, recorded):
             covered = T._covered(parts, table, n, k, first)
@@ -295,14 +319,19 @@ def _sweeps_against_the_sparse_loop(X, monkeypatch):
         assert np.array_equal(recorded, expected), k
         table = covered
         firsts.append(expected)
-    return firsts
+    return *firsts, handed
 
 
 def test_dense_phase_matches_the_sparse_sweep(monkeypatch):
     # at 10^6 and at the benchmark's verify-ternary limit, 4e6
     for X in (4 * 10**6, 10**6):
-        first, three = _sweeps_against_the_sparse_loop(X, monkeypatch)
+        first, three, handed = _sweeps_against_the_sparse_loop(X, monkeypatch)
         assert list(4 * np.flatnonzero(three < 0) + 3) == [3, 7, 11, 19, 27, 35, 43], X
+        if X == 4 * 10**6:
+            # both entry points hand off at k = 2 and 3, checked against the oracle
+            T.scan_exceptions(X)
+            T.smallest_witnesses(X)
+            assert len(handed) == 8
     # the sweep's cost figures at 10^6: 30 indices are no two-sum, the largest
     # 4m + 2 of them is 7,118, and the largest smallest part is p = 33,721
     assert np.count_nonzero(first < 0) == 30
@@ -330,6 +359,31 @@ def test_covered_bit_edges_against_double_loop(k):
             other = np.random.default_rng(n).random(n) < 0.3
             for tab in (table, other):
                 assert T._first_parts(np.arange(n), parts, _pack(tab), k).tolist() == _double_loop(parts, tab, k), (n, k)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_blocked_first_parts_against_the_sequential_loop(dtype):
+    # on random tables drawn apart from the parts: all n targets, more than a
+    # block's len(table) / 8 cells (one part a block), down to one target
+    # (blocks of many parts, which cross t / k), and no parts
+    rng = np.random.default_rng(28)
+    for n in (1, 64, 1000, 4096):
+        table = _pack(rng.random(n) < 0.3)
+        for density in (0.0, 0.05, 0.5):
+            parts = np.flatnonzero(rng.random(n) < density)
+            for m in (n, 2 * len(table), len(table) // 16, 3, 1):
+                targets = np.sort(rng.choice(n, min(m, n), replace=False)).astype(dtype)
+                for k in (2, 3):
+                    got = T._first_parts(targets, parts, table, k)
+                    assert got.dtype == dtype, (n, density, m, k)
+                    assert np.array_equal(got, _sequential_first_parts(targets, parts, table, k)), (n, density, m, k)
+    # one target t whose only hits are parts s with k s > t, inside the first
+    # block: a guard that let them through would return one
+    n, t = 4096, 60
+    for k in (2, 3):
+        table = _pack(np.arange(n) < t - t // k)
+        got = T._first_parts(np.array([t], dtype=dtype), np.arange(n), table, k)
+        assert got.tolist() == _sequential_first_parts(np.array([t], dtype=dtype), np.arange(n), table, k).tolist() == [-1]
 
 
 @settings(max_examples=60, deadline=None)
