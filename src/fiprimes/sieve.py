@@ -174,7 +174,7 @@ class MajorantEvaluator:
             if rough_indicator(l // (q1 * q2 * q3), q1):
                 w3 += 0.5 * logsx
 
-        lam_l = mangoldt(l)
+        lam_l = math.log(facs[0][0]) if len(facs) == 1 else 0.0  # Lambda(l)
         e1 = lam_l if (len(facs) == 1 and facs[0][0] <= p.z) else 0.0
         e2 = e1
         if any(e > 1 and q > p.z1 for q, e in facs):
@@ -195,7 +195,7 @@ class MajorantEvaluator:
     def e3(self, n: int) -> float:
         facs = factorize(n)
         if len(facs) == 1 and facs[0][0] <= self.params.omega_range:
-            return mangoldt(n)
+            return math.log(facs[0][0])  # Lambda(n)
         return 0.0
 
     def lambda_plus(self, n: int) -> float:
@@ -252,7 +252,7 @@ def majorant_table(x: int) -> MajorantTable:
     error = lam * se2
     if np.any(s3):
         idx = np.flatnonzero(s3)
-        outer = np.array([ev.omega_outer(int(n)) + ev.e3(int(n)) for n in idx])
-        lam_plus[idx] += outer * s3[idx]
-        error[idx] += np.array([ev.e3(int(n)) for n in idx]) * s3[idx]
+        e3 = np.array([ev.e3(int(n)) for n in idx])
+        lam_plus[idx] += (np.array([ev.omega_outer(int(n)) for n in idx]) + e3) * s3[idx]
+        error[idx] += e3 * s3[idx]
     return MajorantTable(lam_plus=lam_plus, s1=s1, s2=s2, s3=s3, error=error)

@@ -33,8 +33,6 @@ import numpy as np
 from .local import reference_H, xi
 from .primes import (
     CONVENTION_MULTIPLIER,
-    _prime_power_arrays,
-    _prime_power_pairs,
     _prime_power_rows,
     _row_sieve_bytes,
     check_bytes,
@@ -317,11 +315,11 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
 
     LL(m) is non-zero only at prime powers m, and m = W n + b is odd, so the
     rows of ``_prime_power_rows`` hold every pair that counts.  Each row adds
-    log l at the class's primes, and each row of ``_prime_power_pairs`` at
-    its prime powers p^j (j >= 2), in increasing l: the order of the
-    inner-weight table ``sum log l``.  Lambda(m) and the scale then multiply
-    the slots hit, each listed once, by its first row; no other array has
-    N + 1 entries.
+    log l at the slots n >= 1 of its primes and powers in the class, in
+    increasing l: the order of the inner-weight table ``sum log l``.  The
+    first row to hit a slot lists it once with its Lambda(m): log m for a
+    prime, log p for p^j.  Lambda and the scale then multiply the slots hit;
+    no other array has N + 1 entries.
     """
     w, W = w_from_threshold(x, w_override)
     if not (1 <= b <= W):
@@ -334,26 +332,22 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
     N = x // W
     top = W * N + b
     pairs, nbytes = _row_sieve_bytes(top)
-    # values, then per slot (at most one per n, or per pair) its index, m,
-    # Lambda and two products
+    # values, then per slot (at most one per n, or per pair) its index and
+    # Lambda, each listed and then concatenated, and two products
     check_bytes(nbytes + 8 * (N + 1) + 40 * min(N + 1, pairs), f"W-tricked sequence to {x}")
     scale = euler_phi(W) / (float(xi_wb) * W * CONVENTION_MULTIPLIER * reference_H())
-    pp_keys, pp_vals = _prime_power_arrays(top)
-    pp_sums = np.zeros(len(pp_keys), dtype=np.float64)
-    for l, at in _prime_power_pairs(top, pp_keys).items():
-        pp_sums[at] += math.log(l)
     values = np.zeros(N + 1, dtype=np.float64)
-    firsts = [np.zeros(0, dtype=np.int64)]  # each slot once, in the first row to hit it
-    for l, primes in _prime_power_rows(top):
-        slots = (primes[primes % W == b] - b) // W
-        firsts.append(slots[values[slots] == 0.0])
-        values[slots] += math.log(l)
-    slots = np.concatenate(firsts)
-    del firsts
-    values[slots] = scale * (values[slots] * np.log((W * slots + b).astype(np.float64)))
-    values[0] = 0.0  # m = b is n = 0, outside the sequence
-    pp_in = (pp_keys % W == b) & (pp_keys > b)
-    values[(pp_keys[pp_in] - b) // W] = scale * (pp_sums[pp_in] * pp_vals[pp_in])
+    slots, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for l, primes, powers, logs in _prime_power_rows(top):
+        m = np.concatenate((primes, powers))
+        keep = (m % W == b) & (m > b)  # m = b is n = 0, outside the sequence
+        at = (m[keep] - b) // W
+        new = values[at] == 0.0
+        slots.append(at[new])
+        lams.append(np.concatenate((np.log(primes.astype(np.float64)), logs))[keep][new])
+        values[at] += math.log(l)
+    slots, lams = np.concatenate(slots), np.concatenate(lams)
+    values[slots] = scale * (values[slots] * lams)
     return WTrickedSequence(x=x, w=w, W=W, b=b, N=N, values=values)
 
 

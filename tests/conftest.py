@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from fiprimes.buchstab import buchstab_B, rough_mask
-from fiprimes.primes import (
-    _prime_power_arrays,
-    fi_pairs,
-    inner_weight_table,
-    mangoldt_table,
-    primes_upto,
-    simple_sieve,
-)
+from fiprimes.primes import fi_pairs, inner_weight_table, mangoldt_table, primes_upto, simple_sieve
 from fiprimes.sieve import MajorantParams
 
 
@@ -72,15 +65,30 @@ def sieve_blocks(x: int):
         yield l, ns
 
 
+def prime_power_logs(x: int) -> dict[int, float]:
+    """{p^j: log p} for the prime powers p^j <= x with j >= 2, by repeated
+    multiplication of each prime up to sqrt(x)."""
+    out = {}
+    for p in primes_upto(math.isqrt(x)).tolist():
+        pj = p * p
+        while pj <= x:
+            out[pj] = math.log(p)
+            pj *= p
+    return out
+
+
 def fi_weighted_count_by_sieve(x: int) -> float:
     """Oracle: ``fi_weighted_count(x).value`` by membership in ``simple_sieve(x)``.
 
     The same blocks, adds and order as the product, with primality read
-    from one byte per integer instead of the row sieve, so the two agree
-    bit for bit.
+    from one byte per integer instead of the row sieve, and the prime
+    powers of each block looked up in ``prime_power_logs(x)``, so the two
+    agree bit for bit.
     """
     is_p = simple_sieve(x)
-    pp_keys, pp_vals = _prime_power_arrays(x)
+    pp = prime_power_logs(x)
+    pp_keys = np.array(sorted(pp), dtype=np.int64)
+    pp_vals = np.array([pp[n] for n in pp_keys.tolist()])
     total = 0.0
     for l, ns in sieve_blocks(x):
         prime_part = np.log(ns[is_p[ns]].astype(np.float64)).sum()

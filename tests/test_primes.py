@@ -17,6 +17,7 @@ from conftest import (
     fi_primes_by_sieve,
     fi_weighted_count_by_sieve,
     lambda_lambda_table,
+    prime_power_logs,
     sieve_blocks,
     spf_table,
 )
@@ -332,14 +333,22 @@ def test_fi_primes_at_1e8_match_sieve_oracle():
 
 
 def check_rows(x):
-    """``_prime_power_rows(x)`` against the primes of ``sieve_blocks`` by ``simple_sieve``."""
+    """``_prime_power_rows(x)`` against the primes of ``sieve_blocks`` by
+    ``simple_sieve``, and each row's powers against ``_prime_power_pairs(x)``."""
     is_p = P.simple_sieve(x)
     rows = list(P._prime_power_rows(x))
     blocks = list(sieve_blocks(x))
-    assert [l for l, _ in rows] == [l for l, _ in blocks], x
-    for (l, primes), (_, expected) in zip(rows, blocks):
+    pairs = P._prime_power_pairs(x)
+    assert [l for l, *_ in rows] == [l for l, _ in blocks], x
+    assert set(pairs) <= {l for l, *_ in rows}, x
+    for (l, primes, powers, logs), (_, expected) in zip(rows, blocks):
         assert primes.dtype == np.int64, (x, l)
         assert np.array_equal(primes, expected[is_p[expected]]), (x, l)
+        assert powers.dtype == np.int64 and logs.dtype == np.float64, (x, l)
+        if l in pairs:
+            assert np.array_equal(powers, pairs[l][0]) and np.array_equal(logs, pairs[l][1]), (x, l)
+        else:
+            assert len(powers) == len(logs) == 0, (x, l)
 
 
 @settings(max_examples=60, deadline=None)
@@ -364,15 +373,23 @@ def test_row_sieve_in_small_batches(monkeypatch):
 
 def check_prime_power_pairs(x):
     """``_prime_power_pairs(x)`` against the l of ``fi_decompositions`` of each
-    prime power, with the parity the rows keep (every k for l = 2, even k else)."""
-    keys, _ = P._prime_power_arrays(x)
+    prime power, with the parity the rows keep (every k for l = 2, even k
+    else): the powers of a row ascend, and each log is ``math.log`` of the
+    power's base p, bit for bit."""
     expected = {}
-    for i, n in enumerate(keys.tolist()):
+    for n, logp in sorted(prime_power_logs(x).items()):
         for d in P.fi_decompositions(n):
             if d.l == 2 or d.k % 2 == 0:
-                expected.setdefault(d.l, []).append(i)
-    found = P._prime_power_pairs(x, keys)
-    assert {l: at.tolist() for l, at in found.items()} == expected, x
+                expected.setdefault(d.l, []).append((n, logp))
+    found = P._prime_power_pairs(x)
+    assert list(found) == sorted(found), x
+    for l, (powers, logs) in found.items():
+        assert powers.dtype == np.int64, (x, l)
+        assert np.all(np.diff(powers) > 0), (x, l)
+        for n, logp in zip(powers.tolist(), logs.tolist()):
+            base = next(p for p in range(2, n + 1) if n % p == 0)
+            assert logp == math.log(base), (x, l, n)
+    assert {l: list(zip(powers.tolist(), logs.tolist())) for l, (powers, logs) in found.items()} == expected, x
 
 
 def test_prime_power_pairs_match_decompositions_to_1e6():
@@ -386,14 +403,13 @@ def test_prime_power_pairs_match_decompositions(x):
     check_prime_power_pairs(x)
 
 
-# 8 = 2^2 + 2^2 is the one even key with a pair; 9 = 3^2 + 0^2 has no k >= 1;
+# 8 = 2^2 + 2^2 is the one even power with a pair; 9 = 3^2 + 0^2 has no k >= 1;
 # 125 = 11^2 + 2^2 = 10^2 + 5^2 = 2^2 + 11^2
 @pytest.mark.parametrize("n, rows", [(8, {2}), (9, set()), (25, {3}), (125, {2, 5, 11})])
 def test_prime_power_pairs_examples(n, rows):
-    keys, _ = P._prime_power_arrays(n)
-    assert keys[-1] == n
-    found = P._prime_power_pairs(n, keys)
-    assert {l for l, at in found.items() if len(keys) - 1 in at} == rows
+    assert n in prime_power_logs(n)
+    found = P._prime_power_pairs(n)
+    assert {l for l, (powers, _) in found.items() if n in powers.tolist()} == rows
 
 
 def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
@@ -405,7 +421,7 @@ def test_fi_primes_table_over_the_byte_budget_raises_before_allocating(monkeypat
     x = 10**5
     expected = fi_primes_by_sieve(x)  # its sieve, checked too, runs under the real budget
     rows = list(P._prime_power_rows(x))
-    need = P._row_sieve_bytes(x)[1] + 17 * sum(len(primes) for _, primes in rows)
+    need = P._row_sieve_bytes(x)[1] + 17 * sum(len(primes) for _, primes, *_ in rows)
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 18_192)
     P._compute_fi_primes(1372)
     with pytest.raises(P.CapacityError):
@@ -459,6 +475,60 @@ def test_prime_sieve_byte_estimates_bound_the_peaks(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= checked[0], (build.__name__, limit, peak, checked)
+
+
+def test_bulk_tables_over_the_byte_budget_raise_before_allocating(monkeypatch, forbid_alloc):
+    # at 3e8 the float64 array alone is 2.4 GB; with the budget at the
+    # estimate at x the table builds, and one byte under it raises
+    for name, build in (("Mangoldt", P.mangoldt_table), ("inner-weight", lambda x: P.inner_weight_table(x, math.log))):
+        checked = []
+        real = P.check_bytes
+        monkeypatch.setattr(P, "check_bytes", lambda nbytes, what: checked.append(nbytes) or real(nbytes, what))
+        build(10**4)
+        monkeypatch.setattr(P, "check_bytes", real)
+        monkeypatch.setattr(P, "MAX_TABLE_BYTES", checked[0])
+        build(10**4)
+        monkeypatch.setattr(P, "MAX_TABLE_BYTES", checked[0] - 1)
+        with pytest.raises(P.CapacityError, match=f"{name} table to 10000 needs"):
+            build(10**4)
+        monkeypatch.undo()
+    forbid_alloc()
+    with pytest.raises(P.CapacityError, match="Mangoldt table to 300000000 needs"):
+        P.mangoldt_table(3 * 10**8)
+    with pytest.raises(P.CapacityError, match="inner-weight table to 300000000 needs"):
+        P.inner_weight_table(3 * 10**8, math.log)
+
+
+def test_bulk_table_byte_estimates_bound_the_peaks(monkeypatch):
+    # tracemalloc peak against the first estimate checked, with the prime
+    # tables to build and then cached: 0.59 to 0.97 of it for the Mangoldt
+    # table and 0.78 to 0.999 for the inner weights, whose table dominates
+    checked, real = [], P.check_bytes
+    monkeypatch.setattr(P, "check_bytes", lambda nbytes, what: checked.append(nbytes) or real(nbytes, what))
+    for limit in (10**3, 10**5, 10**6):
+        for build in (P.mangoldt_table, lambda x: P.inner_weight_table(x, math.log)):
+            P.simple_sieve.cache_clear()
+            P.primes_upto.cache_clear()
+            for _ in range(2):
+                checked.clear()
+                tracemalloc.start()
+                try:
+                    build(limit)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= checked[0], (limit, peak, checked)
+
+
+def test_mangoldt_table_matches_the_scalar():
+    x = 5000
+    table = P.mangoldt_table(x)
+    scalar = np.array([P.mangoldt(n) for n in range(x + 1)])
+    prime = P.simple_sieve(x)
+    # a prime power's log p is math.log in both; a prime's log through numpy
+    # may differ from math.log in the last bit
+    assert np.array_equal(table[~prime], scalar[~prime])
+    assert np.allclose(table[prime], scalar[prime], rtol=2.0**-52, atol=0.0)
 
 
 FIRST_CALL = """

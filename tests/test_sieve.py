@@ -194,6 +194,19 @@ def test_omega_outer_upper_bound(params_1e5):
         assert ev.omega_outer(n) + ev.e3(n) >= mangoldt(n) - 1e-12, n
 
 
+def test_lambda_from_the_factorisation_is_mangoldt(params_1e12):
+    # e3 and the error weights read Lambda off factorize; at 1e12 every
+    # prime power below 20000 has its base under omega_range, and z1 < 20000
+    ev = S.MajorantEvaluator(params_1e12)
+    assert params_1e12.omega_range > 20000 > params_1e12.z1
+    for n in range(1, 20000):
+        assert ev.e3(n) == mangoldt(n), n
+        facs = factorize(n)
+        if not any(e > 1 and q > params_1e12.z1 for q, e in facs):
+            e1 = mangoldt(n) if len(facs) == 1 and facs[0][0] <= params_1e12.z else 0.0
+            assert ev.weights_with_error(n)[3] == e1, n
+
+
 def test_error_patch_inactive_at_desk_scale(params_1e5):
     # the square-divisor correction in E2 never has to fire here, so the
     # majorization result rests on the sieve chain alone

@@ -167,3 +167,57 @@ def test_library_modules_import_at_module_level():
     assert files
     offenders = {f.name: lines for f in files if (lines := nested_imports(f.read_text()))}
     assert offenders == {}
+
+
+# the private names one module of the package reads from another, and why
+PRIVATE_IMPORTS_ALLOWED = {
+    ("buchstab", "primes._pi_bound"): "rough_mask bounds its base primes' bytes by the prime count "
+                                      "that primes_upto checks",
+    ("ternary", "primes._prime_power_rows"): "wtrick_build scatters LL from the rows of the one row "
+                                             "sieve, as fi_weighted_count does",
+    ("ternary", "primes._row_sieve_bytes"): "wtrick_build checks the row sieve's bytes before it "
+                                            "allocates its sequence",
+}
+
+
+def private_imports(source: str) -> set[str]:
+    """``module._name`` for each private name read from another module of
+    the package: imported by name (``from .primes import _x``, or from
+    ``fiprimes.primes``), or read off a module imported whole
+    (``from . import primes``, then ``primes._x``).  Dunders are not private."""
+    tree = ast.parse(source)
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (node.level or (node.module or "").split(".")[0] == "fiprimes"):
+            continue
+        for alias in node.names:
+            if node.module in (None, "fiprimes"):
+                modules[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                found.add(f"{node.module.split('.')[-1]}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.add(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .primes import _pi_bound, check_bytes", {"primes._pi_bound"}),
+    ("from fiprimes.primes import _row_lengths as rows", {"primes._row_lengths"}),
+    ("from . import primes as P\nn = P._pi_bound(10) + P.check_bytes(1, '')", {"primes._pi_bound"}),
+    ("def f():\n    from .ternary import _covered\n    return _covered", {"ternary._covered"}),
+    ("from __future__ import annotations\nfrom ._impl import __version__", set()),
+    ("import numpy as np\nfrom numpy import _core\nx = np._NoValue", set()),
+    ("def _own(): pass\n_own()", set()),
+])
+def test_private_import_detector(source, found):
+    assert private_imports(source) == found
+
+
+def test_private_imports_are_allowed_with_a_reason():
+    # a module that reads another's private names couples to its internals;
+    # each such read is listed with the reason it is needed
+    found = {(f.stem, name) for f in sorted(SRC.glob("*.py")) for name in private_imports(f.read_text())}
+    assert found == set(PRIVATE_IMPORTS_ALLOWED)
+    assert all(reason for reason in PRIVATE_IMPORTS_ALLOWED.values())
