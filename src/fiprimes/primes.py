@@ -464,7 +464,7 @@ def _prime_power_pairs(x: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         while pj <= x:
             re, im = w[-1]
             w.append((re * a - im * b, re * b + im * a))
-            for i in range(j // 2 + 1):
+            for i in range((j + 1) // 2):  # i = j / 2 gives p^i (1, 0): no pair
                 u, v = (p**i * abs(t) for t in w[j - 2 * i])
                 hits.update((l, pj, p) for k, l in ((u, v), (v, u)) if k and small[l])
             j, pj = j + 1, pj * p

@@ -340,11 +340,12 @@ def wtrick_build(x: int, b: int, w_override: Optional[float] = None) -> WTricked
     slots, lams = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for l, primes, powers, logs in _prime_power_rows(top):
         m = np.concatenate((primes, powers))
+        lam = np.concatenate((np.log(primes.astype(np.float64)), logs))  # Lambda(m)
         keep = (m % W == b) & (m > b)  # m = b is n = 0, outside the sequence
-        at = (m[keep] - b) // W
+        at, lam = (m[keep] - b) // W, lam[keep]
         new = values[at] == 0.0
         slots.append(at[new])
-        lams.append(np.concatenate((np.log(primes.astype(np.float64)), logs))[keep][new])
+        lams.append(lam[new])
         values[at] += math.log(l)
     slots, lams = np.concatenate(slots), np.concatenate(lams)
     values[slots] = scale * (values[slots] * lams)
