@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .primes import _pi_bound, check_bytes, factorize, primes_upto
+from .primes import SEGMENT_BYTES, _pi_bound, _sieve_odd, check_bytes, factorize, primes_upto
 from .quadrature import adaptive_simpson
 
 UPPER_PLATEAU = (1.0 + math.log(2.0)) / 3.0
@@ -130,12 +130,14 @@ def rough_mask(limit: int, z: float) -> np.ndarray:
     """Fresh bool array with mask[n] == rough_indicator(n, z) for 0 < n <= limit.
 
     mask[0] is False, the even n are rough only for z < 2 (or NaN) and the
-    odd n come from ``_strike_odd``.  Raises CapacityError, before
-    allocating, past ``_check_rough_bytes`` with limit + 1 bytes of flags.
+    odd n come from ``_strike_odd``, whose kernel strikes the strided odd
+    slots through one segment buffer.  Raises CapacityError, before
+    allocating, past ``_check_rough_bytes`` with limit + 1 bytes of flags
+    and that segment, min(2^20, (limit + 1) / 2) bytes.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    _check_rough_bytes(limit + 1, limit, z)
+    _check_rough_bytes(limit + 1 + min(SEGMENT_BYTES, (limit + 1) // 2), limit, z)
     mask = np.full(limit + 1, not z >= 2)
     _strike_odd(mask[1::2], z)
     mask[0] = False
@@ -151,14 +153,17 @@ def _check_rough_bytes(nbytes: int, limit: int, z: float) -> None:
 
 
 def _strike_odd(odd: np.ndarray, z: float) -> np.ndarray:
-    """The one rough kernel: odd[i] = rough_indicator(2 i + 1, z), returned.
-
-    Indexed as in ``primes._sieve_odd``, each odd prime p <= z strikes its
-    odd multiples from (p - 1)/2 with step p.
+    """odd[i] = rough_indicator(2 i + 1, z), returned: the survivors of the
+    one odd-only kernel, ``primes._sieve_odd``, over the odd primes
+    p <= min(z, sqrt N), N = 2 len(odd) - 1, with each odd prime p <= z then
+    struck at p >> 1.  Exact: an odd composite n <= N with a prime factor
+    <= z has its least one, p0 <= min(z, sqrt N), and n >= p0^2, where the
+    kernel strikes it; index 0, the number 1, stays rough.
     """
-    odd[:] = True
-    for p in primes_upto(int(max(0.0, min(z, 2 * len(odd) - 1))))[1:].tolist():
-        odd[p >> 1 :: p] = False
+    top = 2 * len(odd) - 1  # N, or -1 for no entries
+    ps = primes_upto(int(max(0.0, min(z, top))))[1:]
+    _sieve_odd(odd, ps[ps <= math.isqrt(max(top, 0))].tolist())
+    odd[ps >> 1] = False
     return odd
 
 

@@ -16,12 +16,13 @@ prime, so e.g. 13 = 2^2 + 3^2 = 3^2 + 2^2 contributes both (k,l) = (2,3) and
 against H x is the calibrated pair-convention multiplier (a sum over k of
 both signs would give H x).
 
-Prime tables up to x come from ``simple_sieve``, one segmented sieve of
-Eratosthenes over odd numbers only (the design of primesieve and of Oliveira
-e Silva, Herzog and Pardi, Math. Comp. 83, 2014).  It indexes the odd number
-2i + 1 by i and marks odd composites in one fixed-size segment buffer at a
-time, starting each base prime at its first odd multiple in the segment; the
-single even prime 2 is added by hand.
+Prime tables up to x come from ``simple_sieve`` over one odd-only sieve
+kernel, ``_sieve_odd``, segmented as in primesieve and in Oliveira e Silva,
+Herzog and Pardi (Math. Comp. 83, 2014).  It indexes the odd number 2i + 1
+by i and strikes each base prime p from p^2, one fixed-size segment at a
+time; the base primes are the cached ``primes_upto(isqrt(x))``, and the
+single even prime 2 is added by hand.  The same kernel, over the primes up
+to z, gives the z-rough numbers of :mod:`fiprimes.buchstab`.
 
 The FI primes, ``fi_weighted_count`` and the W-tricked sequence need the
 n = k^2 + l^2 with Lambda(n) > 0 only, and take them from a sieve of each
@@ -112,20 +113,24 @@ _MR_BOUNDS = (2047, 1_373_653, 25_326_001, 3_215_031_751)
 def simple_sieve(limit: int) -> np.ndarray:
     """Read-only boolean primality array of length limit+1 (index = integer).
 
-    The odd slots ``is_prime[1::2]`` are filled by the segmented odd-only
-    sieve one ``SEGMENT_BYTES`` segment at a time (2^20 odd numbers, sized to
-    stay in a per-core L2 cache; see the constant for the sweep), and
-    ``is_prime[2]`` is set by hand.  Exactness: the result is the same
-    boolean array as the plain all-integers sieve of Eratosthenes, element
-    for element; only the order in which composites are struck out changes.
+    The odd slots ``is_prime[1::2]`` come from the odd-only kernel
+    ``_sieve_odd``, its base primes the odd ones of the cached
+    ``primes_upto(isqrt(limit))`` (the recursion ends once isqrt(limit) < 3);
+    index 1 is then set to False and index 2 to True.  Exactness: the result
+    is the same boolean array as the plain all-integers sieve of Eratosthenes,
+    element for element; only the order in which composites are struck out
+    changes.
     Peak memory is this array plus one segment and the base primes up to
     sqrt(limit), which ``_sieve_bytes`` bounds before anything is allocated.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
     check_bytes(_sieve_bytes(limit), f"prime sieve to {limit}")
+    root = math.isqrt(limit)
+    ps = primes_upto(root)[1:].tolist() if root >= 3 else []
     is_prime = np.zeros(limit + 1, dtype=bool)
-    _sieve_odd(is_prime[1::2])
+    _sieve_odd(is_prime[1::2], ps)
+    is_prime[1:2] = False  # 1 is not prime
     if limit >= 2:
         is_prime[2] = True
     is_prime.setflags(write=False)
@@ -148,10 +153,11 @@ def _pi_bound(x: int) -> int:
 
 def _sieve_bytes(limit: int) -> int:
     """A bound on the bytes ``simple_sieve(limit)`` holds: its array, one
-    segment, the base primes to sqrt(limit) (a bytearray of flags, and a
-    list of Python ints at under 64 bytes each), and 4 KB."""
+    segment, the base primes to sqrt(limit) (the cached ``primes_upto(root)``:
+    root + 1 flag bytes, 8 bytes a prime, and their list of Python ints, all
+    under 64 bytes a prime), and 4 KB."""
     root = math.isqrt(limit)
-    return limit + 1 + min(SEGMENT_BYTES, (limit + 1) // 2) + root // 2 + 64 * _pi_bound(root) + 4096
+    return limit + 1 + min(SEGMENT_BYTES, (limit + 1) // 2) + root + 1 + 64 * _pi_bound(root) + 4096
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -235,6 +241,9 @@ def mangoldt(n: int) -> float:
 def mangoldt_table(x: int) -> np.ndarray:
     """Array of Lambda(n) for 0 <= n <= x.
 
+    A prime's log is ``np.log``, where ``mangoldt`` takes ``math.log``: the
+    two differ in the last bit at 44 of the 664,579 primes below 10^7, so
+    bulk and scalar Lambda agree within 2^-52 relative, not bit for bit.
     8 bytes an entry, the primes to x (``primes_upto``'s estimate) and 16
     bytes a prime for their float64 copy and logs are checked before
     allocating (tracemalloc peak at x = 10^3 to 10^7: 0.77 to 0.97 of the
@@ -256,26 +265,27 @@ def mangoldt_table(x: int) -> np.ndarray:
 # segmented sieving
 
 
-def _sieve_odd(out: np.ndarray) -> None:
-    """Set out[i] to whether the odd number 2 i + 1 is prime.
+def _sieve_odd(out: np.ndarray, ps: list[int]) -> None:
+    """The one odd-only sieve kernel: out[i] = True, then False wherever the
+    odd number 2 i + 1 is p m, m >= p odd, for a p in ``ps`` (odd primes,
+    increasing, each <= sqrt(2 len(out) - 1)).
 
-    The odd indices are sieved in one reused buffer of ``SEGMENT_BYTES``
-    entries, segment by segment.  The odd multiples of an odd prime p are
-    the indices i = (p - 1) / 2 (mod p), so p strikes a slice of step p from
-    the index of p^2 or, in a segment that starts past p^2, from its first
-    odd multiple there.  That start costs one modulo, no more than carrying
-    it over from the previous segment would, so nothing is carried.  Base
-    primes come in increasing order, so the loop stops at the first one
-    whose square lies beyond the segment.
+    Over every odd prime to that root the survivors are 1 and the odd primes
+    (``simple_sieve``); over those up to z, the z-rough odd numbers and the
+    odd primes up to z (``buchstab._strike_odd``).  The odd multiples of p
+    are the indices i = (p - 1) / 2 (mod p), so p strikes a slice of step p
+    from the index of p^2 or, in a segment that starts past p^2, from its
+    first odd multiple there: one modulo, no more than carrying it over from
+    the previous segment would cost.  The loop stops at the first p whose
+    square lies past the segment.  A contiguous ``out`` is struck in place,
+    ``SEGMENT_BYTES`` at a time; a strided view goes through one segment
+    buffer, as striking it in place was slower.
     """
     end = len(out)
-    if end == 0:
-        return
-    ps = _odd_primes_upto(math.isqrt(2 * end - 1))
-    seg = np.empty(min(SEGMENT_BYTES, end), dtype=bool)
+    seg = None if out.flags.contiguous else np.empty(min(SEGMENT_BYTES, end), dtype=bool)
     for lo in range(0, end, SEGMENT_BYTES):
         hi = min(lo + SEGMENT_BYTES, end)
-        buf = seg[: hi - lo]
+        buf = out[lo:hi] if seg is None else seg[: hi - lo]
         buf[:] = True
         for p in ps:
             i = p * p >> 1
@@ -284,29 +294,8 @@ def _sieve_odd(out: np.ndarray) -> None:
             if i < lo:
                 i = lo + ((p >> 1) - lo) % p
             buf[i - lo :: p] = False
-        out[lo:hi] = buf
-    out[0] = False  # 1 is not prime
-
-
-def _odd_primes_upto(limit: int) -> list[int]:
-    """Odd primes <= limit (limit >= 1), in increasing order: the base primes.
-
-    limit is sqrt of the sieve's top, so one unsegmented odd-only pass over a
-    (limit + 1) / 2-byte bytearray is enough; the odd prime 2i + 1 strikes
-    from 2i(i + 1), the index of its square.  A bytearray and no recursion
-    keep the fixed per-call cost low, which dominates the many small sieves
-    (limit + 1 up to a few thousand) that ``fi_decompositions`` asks for;
-    numpy arrays here, or a recursive kernel call, made those calls 1.5 to 2
-    times slower.
-    """
-    n = (limit + 1) // 2
-    flags = bytearray([1]) * n
-    flags[0] = 0  # 1 is not prime
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            sq = 2 * i * (i + 1)
-            flags[sq :: 2 * i + 1] = bytes(len(range(sq, n, 2 * i + 1)))
-    return list(itertools.compress(range(1, limit + 1, 2), flags))
+        if seg is not None:
+            out[lo:hi] = buf
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +414,11 @@ def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.
         return
     root = math.isqrt(x)
     small = simple_sieve(root)
-    qs = [q for q in _odd_primes_upto(root) if q % 4 == 1]
+    qs = [q for q in primes_upto(root).tolist() if q % 4 == 1]
+    roots = [_sqrt_minus_one(q) for q in qs]
     # s / 2 (mod q): k = 2 j + c = +-s l is j = +-l s / 2 - c / 2
-    halves = [_sqrt_minus_one(q) * (q + 1) // 2 % q for q in qs]
-    powers = _prime_power_pairs(x)
+    halves = [s * (q + 1) // 2 % q for q, s in zip(qs, roots)]
+    powers = _prime_power_pairs(x, [2, *qs], [1, *roots])
     no_powers = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
     for a, b in _row_batches(lens):
         block = _sieve_rows(ls[a:b], lens[a:b], qs, halves)
@@ -442,9 +432,11 @@ def _prime_power_rows(x: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.
             yield l, ks * ks + l * l, *powers.get(l, no_powers)
 
 
-def _prime_power_pairs(x: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _prime_power_pairs(x: int, ps: list[int], roots: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """{l: (powers, logs)} in increasing l: the prime powers p^j = k^2 + l^2
     <= x with j >= 2, k >= 1 and l prime, ascending, and log p for each.
+    ``ps`` holds the primes p <= sqrt(x) with p = 2 or 1 (4), and ``roots``
+    a root of -1 mod each (1 for p = 2), which ``_two_squares`` starts from.
 
     Z[i] factors uniquely.  A p = 3 (4) stays prime there, so p^j = u^2 + v^2
     only with u v = 0.  For p = 2 or 1 (4), p = a^2 + b^2 = pi conj(pi) with
@@ -456,9 +448,8 @@ def _prime_power_pairs(x: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     for p = 2 odd k and l give 2 (mod 8); l = 2 gives 8 (k = 2)."""
     small = simple_sieve(math.isqrt(x))
     hits = set()  # (l, p^j, p)
-    ps = primes_upto(math.isqrt(x))
-    for p in ps[ps % 4 != 3].tolist():
-        a, b = _two_squares(p)
+    for p, s in zip(ps, roots):
+        a, b = _two_squares(p, s)
         w = [(1, 0), (a, b)]  # the parts of pi^m, m = 0, 1, ...
         j, pj = 2, p * p
         while pj <= x:
@@ -477,15 +468,14 @@ def _prime_power_pairs(x: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 def _row_lengths(x: int) -> tuple[list[int], list[int]]:
     """The rows of ``_prime_power_rows(x)``: each l and its number of kept k,
-    which does not increase along the rows.
-
-    Plain lists, no numpy, so a byte estimate can read them before anything
-    is allocated.
+    which does not increase along the rows.  The odd l come from the cached
+    ``primes_upto(isqrt(x))`` that the row sieve reads for its q too; the
+    first l with no even k ends the rows.
     """
     if x < 5:
         return [], []
     ls, lens = [2], [(math.isqrt(x - 4) + 1) // 2]
-    for l in _odd_primes_upto(math.isqrt(x - 1)):
+    for l in primes_upto(math.isqrt(x))[1:].tolist():
         n = math.isqrt(x - l * l) // 2
         if not n:
             break

@@ -10,6 +10,7 @@ from fiprimes.primes import factorize
 from fiprimes.quadrature import adaptive_simpson
 
 from conftest import buchstab_identity_violations
+from test_primes import SEGMENT_EDGES, eratosthenes
 
 
 def test_closed_forms():
@@ -168,9 +169,10 @@ def test_rough_indicator():
 
 
 def test_rough_mask_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
-    # one byte per integer 0..limit, 2 per integer to z = 5 and 64 for each
-    # of its at most 4 primes, and 4,096 fixed: 5,364 bytes at limit 999
-    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 5364)
+    # one byte per integer 0..limit, a segment of 500 for the odd slots, 2
+    # per integer to z = 5 and 64 for each of its at most 4 primes, and
+    # 4,096 fixed: 5,864 bytes at limit 999
+    monkeypatch.setattr(primes, "MAX_TABLE_BYTES", 5864)
     assert len(B.rough_mask(999, 5)) == 1000
     with pytest.raises(primes.CapacityError):
         B.rough_mask(1000, 5)
@@ -203,6 +205,28 @@ def test_rough_mask_edges_match_the_indicator(limit, z):
     # z < 2 leaves the even n rough, z >= 2 strikes them; z >= limit strikes every prime
     expected = [False] + [bool(B.rough_indicator(n, z)) for n in range(1, limit + 1)]
     assert B.rough_mask(limit, z).tolist() == expected
+
+
+def rough_oracle(limit, z):
+    """Oracle: mask[n] for 0 <= n <= limit by the all-integers sieve, which
+    strikes every multiple of each prime p <= z (0 struck, 1 kept)."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[0] = False
+    for p in np.flatnonzero(eratosthenes(min(z, limit))).tolist():
+        mask[p::p] = False
+    return mask
+
+
+def test_rough_mask_and_count_at_segment_edges():
+    # the kernel's strided path (rough_mask) and contiguous path (rough_count)
+    # at 2k * 2^20 +- 2 integers, k whole segments of odd numbers; z = sqrt
+    # and sqrt + 1 straddle the last base prime, z = limit strikes every prime
+    for limit in SEGMENT_EDGES:
+        root = math.isqrt(limit)
+        for z in [2, 3, 1000, root, root + 1] + [limit] * (limit == SEGMENT_EDGES[0]):
+            expected = rough_oracle(limit, z)
+            assert np.array_equal(B.rough_mask(limit, z), expected), (limit, z)
+            assert B.rough_count(limit, z).exact == np.count_nonzero(expected), (limit, z)
 
 
 @pytest.mark.parametrize("T", [2, 3, 4, 5, 9, 10, 97, 1000])

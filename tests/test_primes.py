@@ -338,7 +338,7 @@ def check_rows(x):
     is_p = P.simple_sieve(x)
     rows = list(P._prime_power_rows(x))
     blocks = list(sieve_blocks(x))
-    pairs = P._prime_power_pairs(x)
+    pairs = prime_power_pairs(x)
     assert [l for l, *_ in rows] == [l for l, _ in blocks], x
     assert set(pairs) <= {l for l, *_ in rows}, x
     for (l, primes, powers, logs), (_, expected) in zip(rows, blocks):
@@ -371,6 +371,13 @@ def test_row_sieve_in_small_batches(monkeypatch):
             check_rows(x)
 
 
+def prime_power_pairs(x):
+    """``_prime_power_pairs(x, ps, roots)`` as the row sieve calls it: the
+    primes p <= sqrt(x) with p = 2 or 1 (4), and a root of -1 mod each."""
+    ps = [p for p in P.primes_upto(math.isqrt(x)).tolist() if p % 4 != 3]
+    return P._prime_power_pairs(x, ps, [1 if p == 2 else P._sqrt_minus_one(p) for p in ps])
+
+
 def check_prime_power_pairs(x):
     """``_prime_power_pairs(x)`` against the l of ``fi_decompositions`` of each
     prime power, with the parity the rows keep (every k for l = 2, even k
@@ -381,7 +388,7 @@ def check_prime_power_pairs(x):
         for d in P.fi_decompositions(n):
             if d.l == 2 or d.k % 2 == 0:
                 expected.setdefault(d.l, []).append((n, logp))
-    found = P._prime_power_pairs(x)
+    found = prime_power_pairs(x)
     assert list(found) == sorted(found), x
     for l, (powers, logs) in found.items():
         assert powers.dtype == np.int64, (x, l)
@@ -408,7 +415,7 @@ def test_prime_power_pairs_match_decompositions(x):
 @pytest.mark.parametrize("n, rows", [(8, {2}), (9, set()), (25, {3}), (125, {2, 5, 11})])
 def test_prime_power_pairs_examples(n, rows):
     assert n in prime_power_logs(n)
-    found = P._prime_power_pairs(n)
+    found = prime_power_pairs(n)
     assert {l for l, (powers, _) in found.items() if n in powers.tolist()} == rows
 
 

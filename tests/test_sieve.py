@@ -145,6 +145,20 @@ def test_majorization_exhaustive_small():
     assert not np.any(ll > table.lam_plus + 1e-9)
 
 
+def test_majorant_table_outer_sieve_branch(monkeypatch):
+    # XI = 0.35 at x = 1e5 gives z1 ~ 2.87 and z ~ 7.5, so l = 105 = 3 * 5 * 7
+    # carries w3 and the branch for s3 != 0 runs (at 298 n, 2 of them with e3 != 0)
+    monkeypatch.setattr(S, "XI", 0.35)
+    x = 10**5
+    table = S.majorant_table(x)
+    idx = np.flatnonzero(table.s3)
+    assert len(idx) > 0
+    ev = S.MajorantEvaluator(S.MajorantParams(x=x))
+    for n in idx.tolist():
+        assert table.lam_plus[n] == pytest.approx(ev.lambda_plus(n), rel=1e-12, abs=0.0), n
+    assert not np.any(lambda_lambda_table(x)[idx] > table.lam_plus[idx])
+
+
 def test_majorant_table_over_the_byte_budget_raises_before_allocating(monkeypatch, forbid_alloc):
     x = 10**4
     monkeypatch.setattr(P, "MAX_TABLE_BYTES", 58 * (x + 1))

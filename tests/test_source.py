@@ -173,6 +173,8 @@ def test_library_modules_import_at_module_level():
 PRIVATE_IMPORTS_ALLOWED = {
     ("buchstab", "primes._pi_bound"): "rough_mask bounds its base primes' bytes by the prime count "
                                       "that primes_upto checks",
+    ("buchstab", "primes._sieve_odd"): "rough_mask and rough_count strike through the one odd-only "
+                                       "sieve kernel",
     ("ternary", "primes._prime_power_rows"): "wtrick_build scatters LL from the rows of the one row "
                                              "sieve, as fi_weighted_count does",
     ("ternary", "primes._row_sieve_bytes"): "wtrick_build checks the row sieve's bytes before it "
