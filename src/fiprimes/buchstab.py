@@ -131,9 +131,10 @@ def rough_mask(limit: int, z: float) -> np.ndarray:
 
     mask[0] is False, the even n are rough only for z < 2 (or NaN) and the
     odd n come from ``_strike_odd``, whose kernel strikes the strided odd
-    slots through one segment buffer.  Raises CapacityError, before
-    allocating, past ``_check_rough_bytes`` with limit + 1 bytes of flags
-    and that segment, min(2^20, (limit + 1) / 2) bytes.
+    slots through one segment buffer with the base primes to
+    min(z, sqrt limit).  Raises CapacityError, before allocating, past
+    ``_check_rough_bytes`` with limit + 1 bytes of flags and that segment,
+    min(2^20, (limit + 1) / 2) bytes.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
@@ -145,25 +146,27 @@ def rough_mask(limit: int, z: float) -> np.ndarray:
 
 
 def _check_rough_bytes(nbytes: int, limit: int, z: float) -> None:
-    """The budget of nbytes for flags, 2 per integer to min(z, limit) for the cached sieve and
-    its segment, 64 per prime there (two int64 arrays, then the cached one and a list of
-    ints; at most ``_pi_bound`` primes), and 4 KB."""
-    top = int(max(0.0, min(z, limit)))
+    """The budget of nbytes for flags, 2 per integer to min(z, sqrt limit) for the cached
+    sieve of the base primes and its segment, 64 per base prime (two int64 arrays, then the
+    cached one and a list of ints; at most ``_pi_bound`` of them), and 4 KB."""
+    top = int(max(0.0, min(z, math.isqrt(max(limit, 0)))))
     check_bytes(nbytes + 2 * (top + 1) + 64 * _pi_bound(top) + 4096, f"rough mask to {limit}")
 
 
 def _strike_odd(odd: np.ndarray, z: float) -> np.ndarray:
     """odd[i] = rough_indicator(2 i + 1, z), returned: the survivors of the
     one odd-only kernel, ``primes._sieve_odd``, over the odd primes
-    p <= min(z, sqrt N), N = 2 len(odd) - 1, with each odd prime p <= z then
-    struck at p >> 1.  Exact: an odd composite n <= N with a prime factor
-    <= z has its least one, p0 <= min(z, sqrt N), and n >= p0^2, where the
-    kernel strikes it; index 0, the number 1, stays rough.
+    p <= min(z, sqrt N), N = 2 len(odd) - 1, with the odd slots of [3, z]
+    then cleared by one slice.  Exact: an odd composite n <= N with a prime
+    factor <= z has its least one, p0 <= min(z, sqrt n), and n >= p0^2,
+    where the kernel strikes it; so the odd n in [3, min(z, N)] that survive
+    are the odd primes <= z, which the slice strikes.  Index 0, the number
+    1, stays rough.
     """
     top = 2 * len(odd) - 1  # N, or -1 for no entries
-    ps = primes_upto(int(max(0.0, min(z, top))))[1:]
-    _sieve_odd(odd, ps[ps <= math.isqrt(max(top, 0))].tolist())
-    odd[ps >> 1] = False
+    hi = int(max(0.0, min(z, top)))
+    _sieve_odd(odd, primes_upto(min(hi, math.isqrt(max(top, 0))))[1:].tolist())
+    odd[1 : (hi + 1) // 2] = False
     return odd
 
 

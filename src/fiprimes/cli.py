@@ -123,6 +123,17 @@ def _int_arg(s: str) -> int:
     return int(m[1]) * 10 ** int(m[2])
 
 
+def _int_pair(s: str) -> tuple[int, int]:
+    """A flag value a,b: two integers, each as ``_int_arg`` reads it."""
+    parts = s.split(",")
+    try:
+        if len(parts) == 2:
+            return _int_arg(parts[0]), _int_arg(parts[1])
+    except argparse.ArgumentTypeError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected two integers a,b such as 3,-1 or 0,1e4, got {s!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -165,12 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta0", type=float, default=DELTA0)
     _add_common(p)
 
-    p = sub.add_parser("lattice", help="star lattice: discriminant, basis, counts")
-    p.add_argument("--l1", required=True, help="a,b for l1 = a + b i")
+    p = sub.add_parser("lattice", help="star lattice: discriminant, basis, counts",
+                       epilog="A negative first part needs the = form, as in --l1=-8,-1: "
+                              "argparse reads --l1 -8,-1 as a flag.")
+    p.add_argument("--l1", type=_int_pair, required=True, help="a,b for l1 = a + b i")
     p.add_argument("--d1", type=_int_arg, required=True)
-    p.add_argument("--l2", required=True, help="c,d for l2 = c + d i")
+    p.add_argument("--l2", type=_int_pair, required=True, help="c,d for l2 = c + d i")
     p.add_argument("--d2", type=_int_arg, required=True)
-    p.add_argument("--annulus", default=None, help="M,M_hi window to count")
+    p.add_argument("--annulus", type=_int_pair, default=None, help="M,M_hi window to count")
     _add_common(p)
 
     p = sub.add_parser("expsum", help="exponential-sum kernels")
@@ -213,15 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     return ap
-
-
-def _parse_gauss(s: str):
-    from .gaussian import GaussianInt
-
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'a,b', got {s!r}")
-    return GaussianInt(int(parts[0]), int(parts[1]))
 
 
 def _parse_gamma(s: str) -> float | Fraction:
@@ -344,9 +348,10 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "lattice":
+        from .gaussian import GaussianInt
         from .lattice import annulus_lattice_points, lattice_new, reduced_basis
 
-        lat = lattice_new(_parse_gauss(args.l1), args.d1, _parse_gauss(args.l2), args.d2)
+        lat = lattice_new(GaussianInt(*args.l1), args.d1, GaussianInt(*args.l2), args.d2)
         basis = reduced_basis(lat)
         payload = {
             "delta": lat.delta,
@@ -356,8 +361,8 @@ def _dispatch(args) -> int:
         lines = [f"delta = {lat.delta}",
                  f"b1 = ({basis.b1.re}, {basis.b1.im})  |b1|^2 = {basis.b1.norm()}",
                  f"b2 = ({basis.b2.re}, {basis.b2.im})  |b2|^2 = {basis.b2.norm()}"]
-        if args.annulus:
-            m_lo, m_hi = (int(t) for t in args.annulus.split(","))
+        if args.annulus is not None:
+            m_lo, m_hi = args.annulus
             pts = annulus_lattice_points(lat, basis, m_lo, m_hi)
             payload["annulus"] = [m_lo, m_hi]
             payload["count"] = len(pts.points)

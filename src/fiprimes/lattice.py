@@ -9,10 +9,13 @@ per prime p dividing both d's the two linear conditions mod p coincide
 exactly when p | Im(l1 conj(l2)) (contribution p), and otherwise force
 m = 0 mod p (contribution p^2).
 
-A reduced basis (b1, b2) realises the successive minima; it is built from a
-per-prime solution vector via CRT and Lagrange-Gauss reduction.  The annulus
-M < |m|^2 <= M_hi is enumerated row-by-row in the basis coordinates, with
-the direct annulus filter as the matching oracle.
+The lattice's Hermite basis (A, 0), (B, C) has a closed form: A and C from
+two gcds and the index, B from one CRT step.  Lagrange-Gauss reduction takes
+it to a basis (b1, b2) that realises the successive minima, picked by one
+canonical rule, so two descriptions of the same lattice get the same basis.
+The annulus M < |m|^2 <= M_hi is enumerated row-by-row in the basis
+coordinates, after a byte check on a bound of its point count, with the
+direct annulus filter as the matching oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import GaussianInt, enumerate_annulus, imag_product, is_primitive, star
-from .primes import factorize
+from .primes import check_bytes, factorize
 
 
 @dataclass(frozen=True)
@@ -62,61 +65,27 @@ class LatticeBasis:
         return abs(self.b1.re * self.b2.im - self.b1.im * self.b2.re)
 
 
-def _hnf_from_generators(gens: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Basis of the rank-2 lattice spanned by ``gens`` (Euclid on 2nd coords)."""
-    rows = [g for g in gens if g != (0, 0)]
-    while True:
-        nz = [r for r in rows if r[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[1]))
-        pivot = nz[0]
-        new_rows = [pivot]
-        for r in rows:
-            if r is pivot:
-                continue
-            if r[1] != 0:
-                q = r[1] // pivot[1]
-                r = (r[0] - q * pivot[0], r[1] - q * pivot[1])
-            if r != (0, 0):
-                new_rows.append(r)
-        rows = new_rows
-    second = next(r for r in rows if r[1] != 0)
-    firsts = [abs(r[0]) for r in rows if r[1] == 0 and r[0] != 0]
-    a = 0
-    for v in firsts:
-        a = math.gcd(a, v)
-    if a == 0:
-        raise ValueError("generators do not span a rank-2 lattice")
-    return (a, 0), second
+def _hermite_basis(lat: StarLattice) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Hermite basis (A, 0), (B, C) with 0 <= B < A, in closed form.
 
-
-def _initial_basis(lat: StarLattice) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Generators from per-prime solution sets, scaled by CRT cofactors.
-
-    At each prime p | delta the local solutions are either the line through
-    w_p = (im l, -re l) mod p (one divisibility condition, or two coinciding
-    ones) or p Z^2 (two independent conditions).  Scaling a local generator
-    by delta / p^{v_p(delta)} keeps it inside every other local condition,
-    so together with delta Z^2 these span the lattice exactly.
+    (u, 0) lies in the lattice iff n_j = d_j / g_j divides u for both j,
+    where g_j = gcd(d_j, re l_j); so A = lcm(n1, n2), and C = delta / A as
+    the index is A C.  (u, C) lies in it iff u re l_j = -C im l_j (mod d_j);
+    g_j divides C im l_j, and re l_j / g_j is a unit mod n_j, so u is fixed
+    mod n_j.  One CRT step over the two moduli, which may share primes,
+    fixes B mod A.
     """
-    delta = lat.delta
-    support = sorted({p for p, _ in factorize(lat.d1)} | {p for p, _ in factorize(lat.d2)})
-    im12 = imag_product(lat.l1, lat.l2)
-    gens: list[tuple[int, int]] = [(delta, 0), (0, delta)]
-    for p in support:
-        in1 = lat.d1 % p == 0
-        in2 = lat.d2 % p == 0
-        if in1 and in2 and im12 % p != 0:
-            s = delta // p  # local solutions p Z^2; v_p(delta) = 2
-            gens.append((s, 0))
-            gens.append((0, s))
-        else:
-            l = lat.l1 if in1 else lat.l2
-            w = (l.im % p, (-l.re) % p)
-            r = delta // p
-            gens.append((r * w[0], r * w[1]))
-    return _hnf_from_generators(gens)
+    conds = [(l, d, math.gcd(d, l.re)) for l, d in ((lat.l1, lat.d1), (lat.l2, lat.d2))]
+    A = math.lcm(*(d // g for _, d, g in conds))
+    C = lat.delta // A
+    B, n = 0, 1  # u = B (mod n), 0 <= B < n, meets the conditions folded in so far
+    for l, d, g in conds:
+        n_j = d // g
+        r = -(C * l.im // g) * pow(l.re // g, -1, n_j) % n_j
+        h = math.gcd(n, n_j)
+        B += n * ((r - B) // h * pow(n // h, -1, n_j // h) % (n_j // h))
+        n = n * n_j // h
+    return (A, 0), (B, C)
 
 
 def _canonical(v: tuple[int, int]) -> tuple[int, int]:
@@ -128,12 +97,17 @@ def _canonical(v: tuple[int, int]) -> tuple[int, int]:
 
 
 def reduced_basis(lat: StarLattice) -> LatticeBasis:
-    """Lagrange-Gauss reduction to the successive-minima basis.
+    """The canonical successive-minima basis: Lagrange-Gauss reduction of
+    the Hermite basis, then one rule that depends on the lattice alone.
 
-    Ties between equal-norm vectors are broken lexicographically in
-    (re, im) after sign normalisation.
+    Each vector is taken in its sign class with re > 0, or re = 0 and
+    im > 0.  b1 is the least nonzero lattice vector by (|b1|^2, re, im), and
+    b2 the least by (|b2|^2, re, im) among those with |det(b1, b2)| = delta.
+    The reduction ends at (u, v) with |u| <= |v| and -|u|^2 <= 2 u.v < |u|^2
+    (its rounding takes halves up), and a primitive a u + b v with |a| >= 2
+    or |b| >= 2 is longer than v, so both picks are among u, v and u + v.
     """
-    u, v = _initial_basis(lat)
+    u, v = _hermite_basis(lat)
 
     def norm(w: tuple[int, int]) -> int:
         return w[0] * w[0] + w[1] * w[1]
@@ -152,12 +126,11 @@ def reduced_basis(lat: StarLattice) -> LatticeBasis:
             u, v = v, u
         else:
             break
-    u, v = _canonical(u), _canonical(v)
-    if norm(u) == norm(v) and v < u:
-        u, v = v, u
-    b1 = GaussianInt(*u)
-    b2 = GaussianInt(*v)
-    basis = LatticeBasis(b1=b1, b2=b2)
+    cands = [_canonical(w) for w in (u, v, (u[0] + v[0], u[1] + v[1]))]
+    b1 = min(cands, key=lambda w: (norm(w), w))
+    b2 = min((w for w in cands if abs(b1[0] * w[1] - b1[1] * w[0]) == lat.delta),
+             key=lambda w: (norm(w), w))
+    basis = LatticeBasis(b1=GaussianInt(*b1), b2=GaussianInt(*b2))
     assert basis.det == lat.delta
     return basis
 
@@ -189,7 +162,11 @@ def annulus_lattice_points(
     """Lattice points with M < |m|^2 <= M_hi, row by row in lambda2.
 
     Returns the points (lambda2 ascending, then lambda1 ascending) and, for
-    each lambda2 that occurs, its lambda1 intervals.
+    each lambda2 that occurs, its lambda1 intervals.  Raises CapacityError
+    before the walk, for 192 bytes a point and 512 a row over a bound on the
+    count: the cells m + [0, 1) b1 + [0, 1) b2 of the points are disjoint,
+    of area delta, and lie within D = |b1| + |b2| of the annulus, so there
+    are at most pi ((sqrt M_hi + D)^2 - (sqrt M - D)^2) / delta of them.
     """
     if not M < M_hi:
         raise ValueError("need M < M_hi")
@@ -200,6 +177,14 @@ def annulus_lattice_points(
     # |l1 b1 + l2 b2|^2 = A l1^2 + 2 Bc l1 l2 + C l2^2 >= l2^2 (AC - Bc^2)/A
     disc = A * C - Bc * Bc
     lam2_bound = math.isqrt(M_hi * A // disc) + 2
+    D = math.isqrt(A) + math.isqrt(C) + 2
+    r_hi = math.isqrt(M_hi) + 1 + D
+    r_lo = max(0, math.isqrt(max(M, 0)) - D)
+    count = 22 * (r_hi * r_hi - r_lo * r_lo) // (7 * lat.delta)  # 22/7 > pi
+    # a point is a GaussianInt with its instance dict and two ints (128 to
+    # 160 bytes under tracemalloc) and a list slot; a row of l1_rows is a
+    # dict entry and a list of up to two interval tuples
+    check_bytes(192 * count + 512 * min(count, 2 * lam2_bound + 1), f"lattice points in ({M}, {M_hi}]")
     points: list[GaussianInt] = []
     l1_rows: dict[int, list[tuple[int, int]]] = {}
     for lam2 in range(-lam2_bound, lam2_bound + 1):

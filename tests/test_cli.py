@@ -210,6 +210,35 @@ def test_lattice_command(capsys):
     assert json.loads(out)["delta"] == 60
 
 
+@pytest.mark.parametrize("argv, b2", [
+    ("--l1 8,1 --d1 6 --l2=-1,-8 --d2 2", [2, -4]),
+    ("--l1=-8,-1 --d1 6 --l2=-1,-8 --d2 2", [2, -4]),
+    ("--l1=-7,5 --d1 3 --l2=-5,4 --d2 3", [1, 2]),
+    ("--l1=-5,4 --d1 3 --l2=-7,5 --d2 3", [1, 2]),
+])
+def test_lattice_command_prints_one_basis_per_lattice(argv, b2, capsys):
+    # each pair of rows writes one lattice two ways; b2 ties with b2 +- b1
+    code, out, _ = run_cli(capsys, "lattice", *argv.split(), "--json")
+    assert code == 0
+    assert json.loads(out)["b2"] == b2
+
+
+@pytest.mark.parametrize("argv", [
+    "lattice --l1 1,0 --d1 1 --l2 0,1 --d2 1 --annulus 0,10000000000 --json",
+    "expsum type2 --N 1e9",
+])
+def test_oversized_lattice_walks_exit_1_before_the_walk(argv, capsys, monkeypatch):
+    from fiprimes import lattice
+
+    def no_walk(*args):
+        raise AssertionError("walked the rows before the capacity check")
+
+    monkeypatch.setattr(lattice, "_quad_range", no_walk)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lattice points in (") and " needs " in err
+
+
 def test_expsum_minsum_json(capsys):
     code, out, _ = run_cli(
         capsys, "expsum", "minsum", "--gamma", "1/2", "--J", "4", "--K", "10", "--json"
@@ -267,6 +296,7 @@ def test_lq_checks_the_grid_bytes_before_building_the_sequence(capsys, monkeypat
     ("3ap --limit -5", "error: --limit must be >= 5, got -5\n"),
     ("rough --limit -5 --z 3", "error: need 2 <= --z <= --limit, got --z 3.0 and --limit -5\n"),
     ("lq --x 1", "error: --x must be >= 2, got 1\n"),
+    ("lattice --l1 1,1 --d1 6 --l2 2,1 --d2 10 --annulus 5,5", "error: need M < M_hi\n"),
 ])
 def test_negative_sizes_exit_1(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv.split())
@@ -307,6 +337,8 @@ def test_bad_flag_values_exit_1(argv, needle, capsys, monkeypatch):
 @pytest.mark.parametrize("short, plain", [
     ("lq --x 1e5 --json", "lq --x 100000 --json"),
     ("enumerate --limit 1e3", "enumerate --limit 1000"),
+    ("lattice --l1 1,1 --d1 6 --l2 2,1 --d2 10 --annulus 6e1,1e4 --json",
+     "lattice --l1 1,1 --d1 6 --l2 2,1 --d2 10 --annulus 60,10000 --json"),
 ])
 def test_integer_flags_take_powers_of_ten(short, plain, capsys):
     code, out, _ = run_cli(capsys, *short.split())
@@ -320,6 +352,22 @@ def test_integer_flags_refuse_non_integers(value, capsys):
         main(["enumerate", "--limit", value])
     assert exc.value.code == 2
     assert f"argument --limit: expected an integer such as 100000 or 1e5, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--annulus", "5"),
+    ("--annulus", "0,100,7"),
+    ("--annulus", "0,1.5e3"),
+    ("--l1", "1,i"),
+    ("--l2", ""),
+])
+def test_integer_pairs_refuse_malformed_values(flag, value, capsys):
+    argv = {"--l1": "1,1", "--d1": "6", "--l2": "2,1", "--d2": "10", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", *(f"{k}={v}" for k, v in argv.items())])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: expected two integers a,b such as 3,-1 or 0,1e4, got {value!r}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("mode, sha1", [

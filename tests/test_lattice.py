@@ -1,10 +1,13 @@
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fiprimes import lattice as LM
 from fiprimes.gaussian import GaussianInt, enumerate_annulus
+from fiprimes.primes import CapacityError, factorize
 
 SQUAREFREE = [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35]
 
@@ -69,8 +72,78 @@ def test_reduction_invariants():
         assert basis.b1.norm() <= (4.0 / 3.0) * lat.delta  # Hermite, slack 4/3
         prod = math.sqrt(basis.b1.norm() * basis.b2.norm())
         assert lat.delta / 2 <= prod <= 2 * lat.delta
-        sv = LM.shortest_vector_bruteforce(lat)
-        assert basis.b1.norm() == sv.norm()
+        assert basis.b1 == LM.shortest_vector_bruteforce(lat)
+
+
+def neg(l):
+    return GaussianInt(-l.re, -l.im)
+
+
+# 47#, the product of the primes to 47: d1 and d2 share 2, 3 and 5, where the
+# two conditions coincide (Im(l1 conj l2) = -90)
+BIG = LM.lattice_new(GaussianInt(7, 3), 200560490130, GaussianInt(37, 3), 91975710)
+
+
+def test_hermite_basis_closed_form():
+    assert BIG.delta == 614889782588491410
+    for lat in random_instances(300, seed=707) + [BIG]:
+        (A, zero), (B, C) = LM._hermite_basis(lat)
+        assert zero == 0 and A * C == lat.delta and 0 <= B < A, lat
+        assert lat.contains(GaussianInt(A, 0)) and lat.contains(GaussianInt(B, C)), lat
+        for p in {p for d in (lat.d1, lat.d2) for p, _ in factorize(d)}:
+            if A % p == 0:
+                assert not lat.contains(GaussianInt(A // p, 0)), (lat, p)
+    assert LM.reduced_basis(BIG).det == BIG.delta
+
+
+def descriptions(lat):
+    """The same lattice written four ways: as given, with l1 or l2 negated,
+    and with the two conditions swapped."""
+    l1, d1, l2, d2 = lat.l1, lat.d1, lat.l2, lat.d2
+    for args in ((l1, d1, l2, d2), (neg(l1), d1, l2, d2), (l1, d1, neg(l2), d2), (l2, d2, l1, d1)):
+        yield LM.lattice_new(*args)
+
+
+def test_basis_is_a_function_of_the_lattice():
+    for lat in random_instances(150, seed=808):
+        basis = LM.reduced_basis(lat)
+        assert all(LM.reduced_basis(other) == basis for other in descriptions(lat)), lat
+
+
+@pytest.mark.parametrize("l1, d1, l2, d2, b1, b2", [
+    ((8, 1), 6, (-1, -8), 2, (2, 2), (2, -4)),
+    ((-7, 5), 3, (-5, 4), 3, (1, -1), (1, 2)),
+], ids=["delta-12", "delta-3"])
+def test_ties_of_b2_with_b2_plus_or_minus_b1_pick_one_basis(l1, d1, l2, d2, b1, b2):
+    # here b2 and b2 +- b1 have the same norm, and the pick once followed the
+    # path of the Euclid that built the first basis
+    expected = LM.LatticeBasis(GaussianInt(*b1), GaussianInt(*b2))
+    lat = LM.lattice_new(GaussianInt(*l1), d1, GaussianInt(*l2), d2)
+    for other in descriptions(lat):
+        assert LM.reduced_basis(other) == expected, other
+
+
+def canonical_basis_bruteforce(lat):
+    """Oracle of ``reduced_basis``: over every lattice vector with re > 0, or
+    re = 0 < im, and norm <= 2 delta^2 (past the (4/3) delta^2 that bounds
+    |b2|^2), b1 is the least by (norm, re, im) and b2 the least with
+    |det(b1, b2)| = delta."""
+    r = math.isqrt(2 * lat.delta**2)
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1)))
+    n = x * x + y * y
+    keep = ((x > 0) | ((x == 0) & (y > 0))) & (n <= 2 * lat.delta**2)
+    keep &= (x * lat.l1.re + y * lat.l1.im) % lat.d1 == 0
+    keep &= (x * lat.l2.re + y * lat.l2.im) % lat.d2 == 0
+    order = np.lexsort((y[keep], x[keep], n[keep]))
+    x, y = x[keep][order], y[keep][order]
+    b1 = GaussianInt(int(x[0]), int(y[0]))
+    j = np.flatnonzero(np.abs(b1.re * y - b1.im * x) == lat.delta)[0]
+    return LM.LatticeBasis(b1, GaussianInt(int(x[j]), int(y[j])))
+
+
+def test_reduced_basis_is_the_canonical_pick():
+    for lat in random_instances(300, seed=909, delta_cap=60):
+        assert LM.reduced_basis(lat) == canonical_basis_bruteforce(lat), lat
 
 
 def test_annulus_against_direct_filter():
@@ -84,6 +157,34 @@ def test_annulus_against_direct_filter():
         )
         for m in rows.points:
             assert M < m.norm() <= M_hi and lat.contains(m)
+
+
+def test_annulus_byte_estimate_bounds_the_peaks(monkeypatch):
+    # the points and their rows: 0.57, 0.49 and 0.56 of the bytes checked
+    checked = []
+    monkeypatch.setattr(LM, "check_bytes", lambda nbytes, what: checked.append(nbytes))
+    for (l1, d1, l2, d2), M, M_hi in ((((1, 0), 1, (0, 1), 1), 0, 5000),
+                                      (((1, 1), 2, (1, 3), 2), 5000, 10000),
+                                      (((1, 1), 6, (2, 1), 10), 60, 60000)):
+        lat = LM.lattice_new(GaussianInt(*l1), d1, GaussianInt(*l2), d2)
+        basis = LM.reduced_basis(lat)
+        tracemalloc.start()
+        try:
+            LM.annulus_lattice_points(lat, basis, M, M_hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checked[-1], (lat, M, M_hi, peak, checked[-1])
+
+
+def test_annulus_over_the_byte_budget_raises_before_the_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked the rows before the capacity check")
+
+    monkeypatch.setattr(LM, "_quad_range", no_walk)
+    lat = LM.lattice_new(GaussianInt(1, 0), 1, GaussianInt(0, 1), 1)
+    with pytest.raises(CapacityError, match=r"^lattice points in \(0, 10000000000\] needs "):
+        LM.annulus_lattice_points(lat, LM.reduced_basis(lat), 0, 10**10)
 
 
 def test_annulus_full_lattice_is_gauss_circle():
