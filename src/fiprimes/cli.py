@@ -125,13 +125,12 @@ def _int_arg(s: str) -> int:
 
 def _int_pair(s: str) -> tuple[int, int]:
     """A flag value a,b: two integers, each as ``_int_arg`` reads it."""
-    parts = s.split(",")
+    a, _, b = s.partition(",")  # a third part stays in b, which _int_arg refuses
     try:
-        if len(parts) == 2:
-            return _int_arg(parts[0]), _int_arg(parts[1])
+        return _int_arg(a), _int_arg(b)
     except argparse.ArgumentTypeError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected two integers a,b such as 3,-1 or 0,1e4, got {s!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected two integers a,b such as 3,-1 or 0,1e4, got {s!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
